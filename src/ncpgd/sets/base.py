@@ -117,13 +117,13 @@ def proximal_normal_witness(set_: FeasibleSet, x: Point, v: Point,
     tol = set_.tol if tol is None else float(tol)
     nv = norm(v)
     alphas = tuple(float(a) for a in alphas)
+    if not all(a > 0.0 for a in alphas):
+        raise ValueError("witness step lengths must be positive")
     if not alphas:
         return None
     if nv == 0.0:
         return alphas[0]
     for a in alphas:
-        if a <= 0.0:
-            raise ValueError("witness step lengths must be positive")
         z = x + a * v
         y = set_.project(z)
         gap = a * nv - norm(z - y)

@@ -8,12 +8,9 @@ of the regular normal cone.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from ..core import Point, norm
 from .base import DEFAULT_TOL, FeasibleSet
-
-_GRID_SIZE = 2049  # odd so the kink parameter 0 is always on the scan grid
 
 
 def _graph_height(t: float) -> float:
@@ -25,25 +22,26 @@ def _graph_point(t: float) -> Point:
 
 
 def _nearest_parameter(p: np.ndarray) -> float:
-    """Parameter of a closest graph point to p: grid scan plus bounded refinement."""
-    radius = 2.0 * float(np.hypot(p[0], p[1])) + 1.0
-    ts = np.linspace(-radius, radius, _GRID_SIZE)
-    heights = np.where(ts > 0.0, np.power(np.maximum(ts, 0.0), 0.6), 0.0)
-    d2 = (ts - p[0]) ** 2 + (heights - p[1]) ** 2
-    i = int(np.argmin(d2))
+    """Parameter of a closest graph point to p = (a, b), in closed form.
 
-    def objective(t: float) -> float:
-        return (t - p[0]) ** 2 + (_graph_height(t) - p[1]) ** 2
-
-    lo = ts[max(0, i - 1)]
-    hi = ts[min(_GRID_SIZE - 1, i + 1)]
-    res = minimize_scalar(objective, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-13})
-    best = float(res.x)
-    # The kink is a candidate of its own: bounded refinement can stall next to it.
-    if lo <= 0.0 <= hi and objective(0.0) <= objective(best):
-        best = 0.0
-    return best
+    Candidates: the left ray's (min(a, 0), 0), and the right branch's
+    (u^5, u^3) at the positive real roots of 5u^7 + 3u^3 - 5a u^2 - 3b, where
+    the squared distance is critical; np.roots finds them, Newton steps polish
+    them. Roots returned as a complex pair are skipped: two positive roots can
+    only merge at an inflection of the distance, which the origin beats. The
+    nearest candidate wins; ties go to the smaller parameter t.
+    """
+    a, b = float(p[0]), float(p[1])
+    roots = np.roots([5.0, 0.0, 0.0, 0.0, 3.0, -5.0 * a, 0.0, -3.0 * b])
+    u = roots.real[(roots.imag == 0.0) & (roots.real > 0.0)]
+    for _ in range(3):
+        g = ((5.0 * u ** 4 + 3.0) * u - 5.0 * a) * u * u - 3.0 * b
+        dg = ((35.0 * u ** 4 + 9.0) * u - 10.0 * a) * u
+        u = u - np.divide(g, dg, out=np.zeros_like(u), where=dg != 0.0)
+    ts = np.concatenate(([min(a, 0.0)], np.sort(u[u > 0.0]) ** 5))
+    heights = np.power(np.maximum(ts, 0.0), 0.6)
+    d2 = (ts - a) ** 2 + (heights - b) ** 2
+    return float(ts[int(np.argmin(d2))])
 
 
 def _clamp_fourth_quadrant(v: np.ndarray) -> np.ndarray:

@@ -292,6 +292,28 @@ def test_bad_field_diagnostics(capsys):
         assert needle in stderr
 
 
+def test_epigraph_unit_step_stops_on_exact_projection(capsys):
+    # The unit step lands on the projection of a target below the left ray;
+    # an inexact projection there leaves a residual above stat_tol and the
+    # same step repeats until max_iters.
+    args = ["solve", "--set", "epigraph",
+            "--objective", "least-squares:target=-0.2155971630897659,-2.019986129147251",
+            "--x0=0.32864814425747113,0.6846540092344633", "--max-iters", "50"]
+    code, _, stderr = run_cli(args, capsys)
+    assert code == cli.EXIT_OK
+    assert "termination=stationary-at-tol steps=1 " in stderr
+
+
+def test_import_pulls_in_no_scipy():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    code = ("import sys, ncpgd.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_installed_entry_point_smoke(tmp_path):
     env = dict(os.environ, NCPGD_LOG="quiet")
     out = tmp_path / "trace.csv"

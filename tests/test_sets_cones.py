@@ -61,6 +61,16 @@ def test_sparse_witness_example():
                                       alphas=[0.5])
 
 
+def test_witness_rejects_nonpositive_step_lengths():
+    # Checked over the whole grid, also where the zero vector or an earlier
+    # step would certify first.
+    set_ = SparseSet(2, 1)
+    x = Point.vector([1, 0])
+    for v, alphas in ((Point.vector([0, 0]), [-1.0]), (Point.vector([0, 1]), [0.5, -1.0])):
+        with pytest.raises(ValueError, match="must be positive"):
+            proximal_normal_witness(set_, x, v, alphas=alphas)
+
+
 def test_sparse_tangent_projection_examples():
     set_ = SparseSet(2, 1)
     y = set_.project_tangent(Point.vector([0, 2.0]), Point.vector([0.3, -2.0]))

@@ -156,6 +156,47 @@ def test_epigraph_interior_shortcut_and_boundary_search(rng):
         assert d <= graph_min_distance(z) + 1e-10
 
 
+# Near the kink the steep right branch and the left ray compete for the nearest point.
+NEAR_KINK_WORST = np.array([-8.45e-4, 7.87e-3])
+
+
+def near_kink_points(rng):
+    return [NEAR_KINK_WORST] + list(rng.uniform(-1e-2, 1e-2, (150, 2)))
+
+
+def graph_normal_residual(z: np.ndarray, y: np.ndarray) -> float:
+    """How far z - y is from the regular normal cone of the graph at y."""
+    r = z - y
+    if y[0] < 0.0:
+        return abs(r[0])
+    if y[0] > 0.0:
+        tangent = np.array([1.0, 0.6 * y[0] ** -0.4])
+        return abs(r @ tangent) / np.linalg.norm(tangent)
+    return float(np.hypot(min(r[0], 0.0), max(r[1], 0.0)))
+
+
+def check_graph_projection(z: np.ndarray, y: np.ndarray):
+    assert abs(y[1] - graph_height(y[0])) <= 1e-12
+    assert graph_normal_residual(z, y) <= 1e-12
+    assert np.linalg.norm(z - y) <= graph_min_distance(z) + 1e-10
+
+
+def test_curve_projection_near_kink_against_grid_oracle(rng):
+    set_ = CurveSet()
+    y = set_.project(Point.vector(NEAR_KINK_WORST))
+    assert norm(Point.vector(NEAR_KINK_WORST) - y) <= 1.16e-3
+    for z in near_kink_points(rng):
+        check_graph_projection(z, set_.project(Point.vector(z)).data)
+
+
+def test_epigraph_projection_below_graph_near_kink_against_grid_oracle(rng):
+    set_ = EpigraphSet()
+    below = [z for z in near_kink_points(rng) if z[1] < graph_height(z[0])]
+    assert len(below) > 50
+    for z in below:
+        check_graph_projection(z, set_.project(Point.vector(z)).data)
+
+
 def test_projection_is_deterministic(rng):
     for set_ in all_sets():
         z = Point(rng.standard_normal(np.prod(set_.ambient_shape)), set_.ambient_shape)
