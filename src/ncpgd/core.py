@@ -27,9 +27,16 @@ class Point:
     Coordinates are stored flat (row-major for matrices) together with the
     declared shape, so vectors in R^n and matrices in R^{m x n} share one type
     and matrices automatically carry the Frobenius inner product.
+
+    The private slot ``_factors`` is left unset except on points returned by a
+    low-rank or PSD projection, which store there the thin decomposition they
+    computed, tagged with the set class that made it. It is a pure function
+    of the read-only ``data``, written once before the point is handed out,
+    so the point stays immutable and cone queries at it may reuse the
+    factors. Arithmetic results and user-built points carry none.
     """
 
-    __slots__ = ("data", "shape")
+    __slots__ = ("data", "shape", "_factors")
 
     def __init__(self, data, shape: tuple[int, ...] | None = None):
         arr = np.asarray(data, dtype=float)

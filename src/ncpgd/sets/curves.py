@@ -7,6 +7,8 @@ of the regular normal cone.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..core import Point, norm
@@ -30,18 +32,26 @@ def _nearest_parameter(p: np.ndarray) -> float:
     them. Roots returned as a complex pair are skipped: two positive roots can
     only merge at an inflection of the distance, which the origin beats. The
     nearest candidate wins; ties go to the smaller parameter t.
+
+    For |a| >= 1 or |b| >= 1 the polynomial is solved for w = u / 2^e, with
+    2^e >= max(|a|^(1/5), |b|^(1/7)), so its coefficients stay of order one
+    and the rescaling is exact; distances are compared with hypot. Neither
+    overflows for |p| up to about 1e307.
     """
     a, b = float(p[0]), float(p[1])
-    roots = np.roots([5.0, 0.0, 0.0, 0.0, 3.0, -5.0 * a, 0.0, -3.0 * b])
-    u = roots.real[(roots.imag == 0.0) & (roots.real > 0.0)]
+    e = max(0, math.frexp(max(abs(a) ** 0.2, abs(b) ** (1.0 / 7.0)))[1])
+    c3, c2, c0 = math.ldexp(3.0, -4 * e), math.ldexp(5.0 * a, -5 * e), math.ldexp(3.0 * b, -7 * e)
+    roots = np.roots([5.0, 0.0, 0.0, 0.0, c3, -c2, 0.0, -c0])
+    w = roots.real[(roots.imag == 0.0) & (roots.real > 0.0)]
     for _ in range(3):
-        g = ((5.0 * u ** 4 + 3.0) * u - 5.0 * a) * u * u - 3.0 * b
-        dg = ((35.0 * u ** 4 + 9.0) * u - 10.0 * a) * u
-        u = u - np.divide(g, dg, out=np.zeros_like(u), where=dg != 0.0)
-    ts = np.concatenate(([min(a, 0.0)], np.sort(u[u > 0.0]) ** 5))
+        g = ((5.0 * w ** 4 + c3) * w - c2) * w * w - c0
+        dg = ((35.0 * w ** 4 + 3.0 * c3) * w - 2.0 * c2) * w
+        w = w - np.divide(g, dg, out=np.zeros_like(w), where=dg != 0.0)
+    u = np.ldexp(np.sort(w[w > 0.0]), e)
+    ts = np.concatenate(([min(a, 0.0)], u ** 5))
     heights = np.power(np.maximum(ts, 0.0), 0.6)
-    d2 = (ts - a) ** 2 + (heights - b) ** 2
-    return float(ts[int(np.argmin(d2))])
+    d = np.hypot(ts - a, heights - b)
+    return float(ts[int(np.argmin(d))])
 
 
 def _clamp_fourth_quadrant(v: np.ndarray) -> np.ndarray:

@@ -1,4 +1,10 @@
-"""Bounded-rank matrix sets."""
+"""Bounded-rank matrix sets.
+
+Both projections compute one thin decomposition and leave its kept factors
+on the point they return (see ``Point``), so the stratum and cone queries at
+a projected iterate cost a few O(mnr) products instead of a fresh SVD or
+eigendecomposition.
+"""
 
 from __future__ import annotations
 
@@ -8,23 +14,36 @@ from ..core import Point, norm
 from .base import DEFAULT_TOL, FeasibleSet
 
 
-def _fix_gauge(U: np.ndarray, Vt: np.ndarray | None = None):
-    """Sign convention: first sizable entry of each left vector positive."""
-    U = U.copy()
-    Vt = None if Vt is None else Vt.copy()
-    for j in range(U.shape[1]):
-        col = U[:, j]
-        top = np.abs(col).max(initial=0.0)
-        big = np.flatnonzero(np.abs(col) > 1e-12 * top)
-        if big.size and col[big[0]] < 0.0:
-            U[:, j] = -col
-            if Vt is not None:
-                Vt[j, :] = -Vt[j, :]
-    return U, Vt
+def _fix_gauge(Q: np.ndarray) -> np.ndarray:
+    """Sign convention: first sizable entry of each column positive."""
+    A = np.abs(Q)
+    big = A > 1e-12 * A.max(axis=0, initial=0.0)
+    first = np.argmax(big, axis=0)
+    flip = big.any(axis=0) & (Q[first, np.arange(Q.shape[1])] < 0.0)
+    return np.where(flip, -Q, Q)
 
 
 def _sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
+
+
+def _carried(x: Point, kind: type):
+    """Factors that kind's projection left on x, or None."""
+    f = getattr(x, "_factors", None)
+    return f[1:] if f is not None and f[0] is kind else None
+
+
+def _attach(y: Point, kind: type, *factors: np.ndarray) -> Point:
+    for a in factors:
+        a.flags.writeable = False
+    object.__setattr__(y, "_factors", (kind, *factors))
+    return y
+
+
+def _ortho_block(W: np.ndarray, U: np.ndarray, Vt: np.ndarray) -> np.ndarray:
+    """P_{U^perp} W P_{V^perp} for orthonormal columns U and orthonormal rows Vt."""
+    R = W - U @ (U.T @ W)
+    return R - (R @ Vt.T) @ Vt
 
 
 class LowRankSet(FeasibleSet):
@@ -50,55 +69,49 @@ class LowRankSet(FeasibleSet):
     def stratum_ids(self):
         return tuple(range(self.r + 1))
 
-    def _svd(self, x: Point):
-        U, s, Vt = np.linalg.svd(x.as_array(), full_matrices=True)
-        U, Vt = _fix_gauge(U, Vt)
-        return U, s, Vt
-
     def _factors(self, x: Point, tol: float | None):
+        """Leading singular vectors U[:, :k], Vt[:k] of x and its numerical rank k."""
         self._require_shape(x)
         t = self._tol(tol)
-        U, s, Vt = self._svd(x)
+        f = _carried(x, LowRankSet)
+        if f is None:
+            U, s, Vt = np.linalg.svd(x.as_array(), full_matrices=False)
+        else:
+            U, s, Vt = f
         k = int(np.count_nonzero(s > t))
         if k > self.r:
             self._infeasible(x, f"numerical rank {k} exceeds {self.r}")
-        return U, s, Vt, k
+        return U[:, :k], Vt[:k], k
 
     def project(self, x: Point) -> Point:
         self._require_shape(x)
         U, s, Vt = np.linalg.svd(x.as_array(), full_matrices=False)
-        U, Vt = _fix_gauge(U, Vt)
-        Y = (U[:, :self.r] * s[:self.r]) @ Vt[:self.r]
-        return Point(Y, (self.m, self.n))
+        # Copies, not views: a view would keep the whole U and Vt alive for as
+        # long as the returned point lives.
+        U, s, Vt = U[:, :self.r].copy(), s[:self.r].copy(), Vt[:self.r].copy()
+        return _attach(Point((U * s) @ Vt, (self.m, self.n)), LowRankSet, U, s, Vt)
 
     def stratum_id(self, x: Point, tol: float | None = None) -> int:
-        return self._factors(x, tol)[3]
-
-    def _ortho_block(self, W: np.ndarray, U: np.ndarray, Vt: np.ndarray, k: int) -> np.ndarray:
-        # P_{U^perp} W P_{V^perp} in the singular basis of x.
-        U2 = U[:, k:]
-        V2 = Vt[k:].T
-        return U2 @ (U2.T @ W @ V2) @ V2.T
+        return self._factors(x, tol)[2]
 
     def dist_regular_normal(self, x: Point, v: Point, tol: float | None = None) -> float:
         self._require_shape(v)
-        U, _, Vt, k = self._factors(x, tol)
+        U, Vt, k = self._factors(x, tol)
         W = v.as_array()
         if k < self.r:
             return norm(v)
-        B = self._ortho_block(W, U, Vt, k)
-        return float(np.linalg.norm(W - B))
+        return float(np.linalg.norm(W - _ortho_block(W, U, Vt)))
 
     def in_general_normal(self, x: Point, v: Point, tol: float | None = None) -> bool:
         self._require_shape(v)
         t = self._tol(tol)
-        U, _, Vt, k = self._factors(x, tol)
+        U, Vt, k = self._factors(x, tol)
         W = v.as_array()
         scale = max(1.0, float(np.linalg.norm(W)))
         if k:
-            if np.linalg.norm(U[:, :k].T @ W) > t * scale:
+            if np.linalg.norm(U.T @ W) > t * scale:
                 return False
-            if np.linalg.norm(W @ Vt[:k].T) > t * scale:
+            if np.linalg.norm(W @ Vt.T) > t * scale:
                 return False
         sw = np.linalg.svd(W, compute_uv=False)
         rank_w = int(np.count_nonzero(sw > t * scale))
@@ -106,14 +119,13 @@ class LowRankSet(FeasibleSet):
 
     def project_tangent(self, x: Point, v: Point, tol: float | None = None) -> Point:
         self._require_shape(v)
-        U, _, Vt, k = self._factors(x, tol)
+        U, Vt, k = self._factors(x, tol)
         W = v.as_array()
-        B = self._ortho_block(W, U, Vt, k)
+        B = _ortho_block(W, U, Vt)
         out = W - B
         free = self.r - k
         if free > 0:
             Ub, sb, Vbt = np.linalg.svd(B, full_matrices=False)
-            Ub, Vbt = _fix_gauge(Ub, Vbt)
             out = out + (Ub[:, :free] * sb[:free]) @ Vbt[:free]
         return Point(out, (self.m, self.n))
 
@@ -130,11 +142,11 @@ class LowRankSet(FeasibleSet):
 
     def sample_regular_normal(self, x: Point, v_rng: np.random.Generator,
                               tol: float | None = None) -> Point:
-        U, _, Vt, k = self._factors(x, tol)
+        U, Vt, k = self._factors(x, tol)
         if k < self.r:
             return Point.zeros((self.m, self.n))
         G = v_rng.standard_normal((self.m, self.n))
-        return Point(self._ortho_block(G, U, Vt, k), (self.m, self.n))
+        return Point(_ortho_block(G, U, Vt), (self.m, self.n))
 
 
 class PsdLowRankSet(FeasibleSet):
@@ -162,59 +174,67 @@ class PsdLowRankSet(FeasibleSet):
 
     def project(self, x: Point) -> Point:
         self._require_shape(x)
-        S = _sym(x.as_array())
-        w, Q = np.linalg.eigh(S)
-        Q, _ = _fix_gauge(Q)
+        w, Q = np.linalg.eigh(_sym(x.as_array()))
         lam = np.maximum(w[self.n - self.r:], 0.0)
-        Qr = Q[:, self.n - self.r:]
-        return Point((Qr * lam) @ Qr.T, (self.n, self.n))
+        Q = Q[:, self.n - self.r:].copy()
+        return _attach(Point((Q * lam) @ Q.T, (self.n, self.n)), PsdLowRankSet, lam, Q)
 
-    def _eig(self, x: Point, tol: float | None):
+    def _eig(self, x: Point, tol: float | None, full: bool = False):
+        """Ascending eigenpairs of the feasible point x and its numerical rank k.
+
+        A point made by this set's projection yields its r kept pairs, which
+        span its range; ``full=True`` always decomposes, for callers that need
+        a basis of the kernel.
+        """
         self._require_shape(x)
         t = self._tol(tol)
-        M = x.as_array()
-        skew = 0.5 * (M - M.T)
-        if np.linalg.norm(skew) > t * max(1.0, float(np.linalg.norm(M))):
-            self._infeasible(x, "not symmetric")
-        w, Q = np.linalg.eigh(_sym(M))
-        Q, _ = _fix_gauge(Q)
-        if w[0] < -t:
-            self._infeasible(x, f"negative eigenvalue {w[0]:.3e}")
+        f = None if full else _carried(x, PsdLowRankSet)
+        if f is None:
+            M = x.as_array()
+            skew = 0.5 * (M - M.T)
+            if np.linalg.norm(skew) > t * max(1.0, float(np.linalg.norm(M))):
+                self._infeasible(x, "not symmetric")
+            w, Q = np.linalg.eigh(_sym(M))
+            if w[0] < -t:
+                self._infeasible(x, f"negative eigenvalue {w[0]:.3e}")
+        else:
+            w, Q = f
         k = int(np.count_nonzero(w > t))
         if k > self.r:
             self._infeasible(x, f"numerical rank {k} exceeds {self.r}")
         return w, Q, k
 
+    def _range(self, x: Point, tol: float | None):
+        """Orthonormal basis of the range of x (eigenvectors of its k positive eigenvalues) and k."""
+        _, Q, k = self._eig(x, tol)
+        return Q[:, Q.shape[1] - k:], k
+
     def stratum_id(self, x: Point, tol: float | None = None) -> int:
-        return self._eig(x, tol)[2]
+        return self._range(x, tol)[1]
 
     def dist_regular_normal(self, x: Point, v: Point, tol: float | None = None) -> float:
         self._require_shape(v)
-        _, Q, k = self._eig(x, tol)
+        U, k = self._range(x, tol)
         W = _sym(v.as_array())
-        # Range basis = eigenvectors of the k positive eigenvalues (last k
-        # columns of the ascending eigendecomposition); the rest span the kernel.
-        U_perp = Q[:, :self.n - k]
-        B = U_perp.T @ W @ U_perp
-        if k == self.r:
-            nearest = U_perp @ B @ U_perp.T
-        else:
-            wb, Qb = np.linalg.eigh(B)
-            Bm = (Qb * np.minimum(wb, 0.0)) @ Qb.T
-            nearest = U_perp @ Bm @ U_perp.T
-        return float(np.linalg.norm(W - nearest))
+        # Normal part on the kernel of x: all of P W P there (P the kernel
+        # projector) on the top stratum, only its negative part below it.
+        B = _ortho_block(W, U, U.T)
+        if k < self.r:
+            wb, Qb = np.linalg.eigh(_sym(B))
+            B = (Qb * np.minimum(wb, 0.0)) @ Qb.T
+        return float(np.linalg.norm(W - B))
 
     def in_general_normal(self, x: Point, v: Point, tol: float | None = None) -> bool:
         self._require_shape(v)
         t = self._tol(tol)
-        _, Q, k = self._eig(x, tol)
+        U, k = self._range(x, tol)
         W = _sym(v.as_array())
         scale = max(1.0, float(np.linalg.norm(v.as_array())))
-        U = Q[:, self.n - k:]
         if k and np.linalg.norm(W @ U) > t * scale:
             return False
-        U_perp = Q[:, :self.n - k]
-        wb = np.linalg.eigvalsh(U_perp.T @ W @ U_perp)
+        # P W P (P the kernel projector) vanishes on the range of x, so next
+        # to the eigenvalues of W restricted to the kernel it has k zeros.
+        wb = np.linalg.eigvalsh(_sym(_ortho_block(W, U, U.T)))
         rank_b = int(np.count_nonzero(np.abs(wb) > t * scale))
         if rank_b <= self.n - self.r:
             return True
@@ -232,10 +252,11 @@ class PsdLowRankSet(FeasibleSet):
 
     def sample_regular_normal(self, x: Point, v_rng: np.random.Generator,
                               tol: float | None = None) -> Point:
-        _, Q, k = self._eig(x, tol)
+        _, Q, k = self._eig(x, tol, full=True)
         A = v_rng.standard_normal((self.n, self.n))
         skew = 0.5 * (A - A.T)
-        U_perp = Q[:, :self.n - k]
+        # The sample depends on the kernel basis, so fix its signs.
+        U_perp = _fix_gauge(Q[:, :self.n - k])
         G = v_rng.standard_normal((self.n - k, self.n - k))
         if k == self.r:
             B = _sym(G)

@@ -58,3 +58,15 @@ def graph_min_distance(p: np.ndarray, grid: int = 400001) -> float:
     heights = np.where(ts > 0.0, np.power(np.maximum(ts, 0.0), 0.6), 0.0)
     d2 = (ts - p[0]) ** 2 + (heights - p[1]) ** 2
     return float(np.sqrt(d2.min()))
+
+
+def graph_min_distance_scaled(p: np.ndarray, grid: int = 400001) -> float:
+    """graph_min_distance in units of S = max(1, |p|), so it stays finite at any scale.
+
+    The grid covers t in [-2S, 2S]; every quantity is divided by S before it
+    is squared or summed.
+    """
+    scale = max(1.0, float(np.hypot(p[0], p[1])))
+    taus = np.linspace(-2.0, 2.0, grid)
+    heights = np.where(taus > 0.0, np.power(np.maximum(taus, 0.0) * scale, 0.6) / scale, 0.0)
+    return scale * float(np.hypot(taus - p[0] / scale, heights - p[1] / scale).min())

@@ -214,6 +214,19 @@ def test_solve_matrix_target(tmp_path, capsys):
     assert "classification=P-stationary" in stdout
 
 
+def test_solve_tall_lowrank(tmp_path, capsys):
+    # More rows than columns: the cone queries once indexed past the row space.
+    out = tmp_path / "trace.csv"
+    target = ",".join(str(v) for v in range(1, 19))
+    args = ["solve", "--set", "lowrank:m=6,n=3,r=1",
+            "--objective", f"least-squares:target={target}",
+            "--x0", ",".join(["0"] * 18), "--out", str(out)]
+    code, stdout, _ = run_cli(args, capsys)
+    assert code == cli.EXIT_OK
+    assert "classification=P-stationary" in stdout
+    assert len(cli.read_trace_csv(str(out))["iter"]) == 2
+
+
 def test_solve_p2gd_on_unsupported_set_is_usage_error(capsys):
     args = ["solve", "--set", "psd:n=3,r=1", "--algorithm", "p2gd",
             "--objective", "least-squares:target=1,0,0,0,1,0,0,0,0",

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,12 @@ from ncpgd import (
     norm,
 )
 from ncpgd.sets import from_spec
+from ncpgd.sets.curves import _nearest_parameter
 
 from helpers import (
     graph_height,
     graph_min_distance,
+    graph_min_distance_scaled,
     nonneg_sparse_bruteforce,
     psd_truncation,
     sparse_bruteforce,
@@ -195,6 +199,29 @@ def test_epigraph_projection_below_graph_near_kink_against_grid_oracle(rng):
     assert len(below) > 50
     for z in below:
         check_graph_projection(z, set_.project(Point.vector(z)).data)
+
+
+EXTREME_POINTS = [(1e300, 1e300), (1e200, -1e200), (-1e300, 5.0), (1e300, 1e180)]
+
+
+@pytest.mark.parametrize("p", EXTREME_POINTS, ids=str)
+def test_graph_projection_at_extreme_scales(p):
+    z = np.array(p)
+    left_ray = float(np.hypot(z[0] - min(z[0], 0.0), z[1]))
+    oracle = graph_min_distance_scaled(z)
+    scale = float(np.hypot(z[0], z[1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = _nearest_parameter(z)
+        ys = [np.array([t, graph_height(t)])]
+        for set_ in (CurveSet(), EpigraphSet()):
+            y = set_.project(Point.vector(z))
+            assert set_.contains(y)
+            ys.append(y.data)
+        for y in ys:
+            d = float(np.hypot(*(z - y)))
+            assert d <= left_ray
+            assert d <= oracle + 1e-12 * scale
 
 
 def test_projection_is_deterministic(rng):
