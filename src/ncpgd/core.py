@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -39,24 +41,40 @@ class Point:
     __slots__ = ("data", "shape", "_factors")
 
     def __init__(self, data, shape: tuple[int, ...] | None = None):
-        arr = np.asarray(data, dtype=float)
+        # np.array always copies, so the point never aliases the caller's data.
+        flat = np.array(data, dtype=float, order="C")
         if shape is None:
-            shape = arr.shape
-        shape = tuple(int(m) for m in shape)
-        if len(shape) not in (1, 2) or any(m <= 0 for m in shape):
+            shape = flat.shape
+        else:
+            shape = tuple(map(int, shape))
+        if len(shape) not in (1, 2) or min(shape) <= 0:
             raise ShapeError(f"shape must be (n,) or (m, n) with positive sizes, got {shape}")
-        flat = np.ascontiguousarray(arr, dtype=float).reshape(-1)
-        size = 1
-        for m in shape:
-            size *= m
-        if flat.size != size:
+        flat = flat.reshape(-1)
+        if flat.size != math.prod(shape):
             raise ShapeError(f"{flat.size} coordinates do not fill shape {shape}")
-        if not np.all(np.isfinite(flat)):
+        if not np.isfinite(flat).all():
             raise ValueError("point has non-finite coordinates")
-        flat = flat.copy()
         flat.flags.writeable = False
         object.__setattr__(self, "data", flat)
         object.__setattr__(self, "shape", shape)
+
+    @classmethod
+    def _of(cls, flat: np.ndarray, shape: tuple[int, ...]) -> "Point":
+        """Point over a freshly computed flat float64 array of known shape.
+
+        The unchecked path for results computed inside the package: the
+        caller guarantees that ``flat`` is a new contiguous 1-D float64
+        array that nothing else references and that ``shape`` is a valid
+        shape of its size. Only finiteness is checked, so overflow still
+        raises ``ValueError`` as in the constructor.
+        """
+        if not np.isfinite(flat).all():
+            raise ValueError("point has non-finite coordinates")
+        flat.flags.writeable = False
+        p = object.__new__(cls)
+        object.__setattr__(p, "data", flat)
+        object.__setattr__(p, "shape", shape)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Point is immutable")
@@ -75,11 +93,8 @@ class Point:
 
     @classmethod
     def zeros(cls, shape) -> "Point":
-        shape = tuple(int(m) for m in shape)
-        n = 1
-        for m in shape:
-            n *= m
-        return cls(np.zeros(n), shape)
+        shape = tuple(map(int, shape))
+        return cls(np.zeros(math.prod(shape)), shape)
 
     def as_array(self) -> np.ndarray:
         """Read-only view of the coordinates in the declared shape."""
@@ -93,17 +108,17 @@ class Point:
 
     def __add__(self, other: "Point") -> "Point":
         self._check_same_shape(other)
-        return Point(self.data + other.data, self.shape)
+        return Point._of(self.data + other.data, self.shape)
 
     def __sub__(self, other: "Point") -> "Point":
         self._check_same_shape(other)
-        return Point(self.data - other.data, self.shape)
+        return Point._of(self.data - other.data, self.shape)
 
     def __neg__(self) -> "Point":
-        return Point(-self.data, self.shape)
+        return Point._of(-self.data, self.shape)
 
     def __mul__(self, scalar) -> "Point":
-        return Point(self.data * float(scalar), self.shape)
+        return Point._of(self.data * float(scalar), self.shape)
 
     __rmul__ = __mul__
 
@@ -119,7 +134,8 @@ def inner(a: Point, b: Point) -> float:
 
 def norm(a: Point) -> float:
     """Euclidean (Frobenius) norm."""
-    return float(np.linalg.norm(a.data))
+    # What np.linalg.norm computes for real 1-D data, bit for bit.
+    return math.sqrt(np.dot(a.data, a.data))
 
 
 class Objective:

@@ -20,7 +20,7 @@ def _graph_height(t: float) -> float:
 
 
 def _graph_point(t: float) -> Point:
-    return Point([t, _graph_height(t)], (2,))
+    return Point._of(np.array([t, _graph_height(t)]), (2,))
 
 
 def _nearest_parameter(p: np.ndarray) -> float:
@@ -149,10 +149,10 @@ class CurveSet(FeasibleSet):
             up = np.array([0.0, max(float(v.data[1]), 0.0)])
             left = np.array([min(float(v.data[0]), 0.0), 0.0])
             if np.linalg.norm(v.data - up) <= np.linalg.norm(v.data - left):
-                return Point(up, (2,))
-            return Point(left, (2,))
+                return Point._of(up, (2,))
+            return Point._of(left, (2,))
         tau = self._unit_tangent(t)
-        return Point(float(np.dot(v.data, tau)) * tau, (2,))
+        return Point._of(float(np.dot(v.data, tau)) * tau, (2,))
 
     def random_point(self, rng: np.random.Generator, stratum: int | None = None) -> Point:
         k = int(rng.integers(0, 3)) if stratum is None else int(stratum)
@@ -253,12 +253,13 @@ class EpigraphSet(FeasibleSet):
             return v
         if stratum == 0:
             # Tangent cone at the kink is the second quadrant.
-            return Point([min(float(v.data[0]), 0.0), max(float(v.data[1]), 0.0)], (2,))
+            return Point._of(np.array([min(float(v.data[0]), 0.0), max(float(v.data[1]), 0.0)]),
+                             (2,))
         nhat = self._outward_normal(float(x.data[0]))
         s = float(np.dot(v.data, nhat))
         if s <= 0.0:
             return v
-        return Point(v.data - s * nhat, (2,))
+        return Point._of(v.data - s * nhat, (2,))
 
     def random_point(self, rng: np.random.Generator, stratum: int | None = None) -> Point:
         k = int(rng.integers(0, 4)) if stratum is None else int(stratum)

@@ -89,7 +89,16 @@ class LowRankSet(FeasibleSet):
         # Copies, not views: a view would keep the whole U and Vt alive for as
         # long as the returned point lives.
         U, s, Vt = U[:, :self.r].copy(), s[:self.r].copy(), Vt[:self.r].copy()
-        return _attach(Point((U * s) @ Vt, (self.m, self.n)), LowRankSet, U, s, Vt)
+        y = Point._of(((U * s) @ Vt).reshape(-1), (self.m, self.n))
+        return _attach(y, LowRankSet, U, s, Vt)
+
+    def contains(self, x: Point, tol: float | None = None) -> bool:
+        f = _carried(x, LowRankSet)
+        if f is None:
+            return super().contains(x, tol)
+        self._require_shape(x)
+        # The distance to the set is the norm of the singular values beyond r.
+        return float(np.linalg.norm(f[1][self.r:])) <= self._tol(tol)
 
     def stratum_id(self, x: Point, tol: float | None = None) -> int:
         return self._factors(x, tol)[2]
@@ -127,7 +136,7 @@ class LowRankSet(FeasibleSet):
         if free > 0:
             Ub, sb, Vbt = np.linalg.svd(B, full_matrices=False)
             out = out + (Ub[:, :free] * sb[:free]) @ Vbt[:free]
-        return Point(out, (self.m, self.n))
+        return Point._of(out.reshape(-1), (self.m, self.n))
 
     def random_point(self, rng: np.random.Generator, stratum: int | None = None) -> Point:
         k = int(rng.integers(0, self.r + 1)) if stratum is None else int(stratum)
@@ -177,7 +186,18 @@ class PsdLowRankSet(FeasibleSet):
         w, Q = np.linalg.eigh(_sym(x.as_array()))
         lam = np.maximum(w[self.n - self.r:], 0.0)
         Q = Q[:, self.n - self.r:].copy()
-        return _attach(Point((Q * lam) @ Q.T, (self.n, self.n)), PsdLowRankSet, lam, Q)
+        y = Point._of(((Q * lam) @ Q.T).reshape(-1), (self.n, self.n))
+        return _attach(y, PsdLowRankSet, lam, Q)
+
+    def contains(self, x: Point, tol: float | None = None) -> bool:
+        f = _carried(x, PsdLowRankSet)
+        if f is None:
+            return super().contains(x, tol)
+        self._require_shape(x)
+        # x is PSD with the ascending eigenvalues lam; its distance to the
+        # set is the norm of all but the r largest.
+        lam = f[0]
+        return float(np.linalg.norm(lam[:max(lam.size - self.r, 0)])) <= self._tol(tol)
 
     def _eig(self, x: Point, tol: float | None, full: bool = False):
         """Ascending eigenpairs of the feasible point x and its numerical rank k.

@@ -48,7 +48,7 @@ class SparseSet(FeasibleSet):
         keep = _top_indices(np.abs(x.data), self.s)
         out = np.zeros(self.n)
         out[keep] = x.data[keep]
-        return Point(out, (self.n,))
+        return Point._of(out, (self.n,))
 
     def stratum_id(self, x: Point, tol: float | None = None) -> int:
         return int(self._support(x, tol).size)
@@ -82,7 +82,7 @@ class SparseSet(FeasibleSet):
             mag[support] = -np.inf
             keep = _top_indices(mag, free)
             out[keep] = v.data[keep]
-        return Point(out, (self.n,))
+        return Point._of(out, (self.n,))
 
     def random_point(self, rng: np.random.Generator, stratum: int | None = None) -> Point:
         k = int(rng.integers(0, self.s + 1)) if stratum is None else int(stratum)
@@ -141,7 +141,7 @@ class NonnegSparseSet(FeasibleSet):
         keep = _top_indices(clamped, self.s)
         out = np.zeros(self.n)
         out[keep] = clamped[keep]
-        return Point(out, (self.n,))
+        return Point._of(out, (self.n,))
 
     def stratum_id(self, x: Point, tol: float | None = None) -> int:
         return int(self._support(x, tol).size)
@@ -180,7 +180,7 @@ class NonnegSparseSet(FeasibleSet):
             clamped[support] = -np.inf
             keep = _top_indices(clamped, free)
             out[keep] = np.maximum(v.data[keep], 0.0)
-        return Point(out, (self.n,))
+        return Point._of(out, (self.n,))
 
     def random_point(self, rng: np.random.Generator, stratum: int | None = None) -> Point:
         k = int(rng.integers(0, self.s + 1)) if stratum is None else int(stratum)

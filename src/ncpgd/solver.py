@@ -15,7 +15,9 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .core import Objective, Point, inner, norm
+import numpy as np
+
+from .core import Objective, Point, norm
 from .sets.base import FeasibleSet, InfeasiblePointError, proximal_normal_witness
 
 _log = logging.getLogger(__name__)
@@ -172,32 +174,48 @@ def mu_update_average(mu_prev: float, f_xi: float, weight: float) -> float:
     return (1.0 - weight) * mu_prev + weight * f_xi
 
 
-def pgd_map(set_: FeasibleSet, obj: Objective, x: Point, mu: float,
-            cfg: SolverConfig) -> StepResult:
-    """One backtracking projected line search along the negative gradient.
+def _line_search(set_: FeasibleSet, obj: Objective, x: Point, g: Point, d: np.ndarray,
+                 mu: float, cfg: SolverConfig) -> StepResult:
+    """Backtracking projected line search from x along the direction d.
 
-    Starting from the configured initial step, projects x - alpha*grad(x)
-    onto the set and shrinks alpha by beta until the Armijo condition
-    f(y) <= mu + c * <grad(x), y - x> holds. Requires x feasible and
-    mu >= f(x); raises BacktrackError past the backtracking budget.
+    Projects the trial points x + alpha*d for alpha = start, start*beta, ...
+    until f(y) <= mu + c * <g, y - x>, with g the gradient at x. Each trial
+    costs one projection and one f evaluation; the arithmetic runs on the
+    coordinate arrays. Raises BacktrackError past the backtracking budget.
     """
-    fx = obj.eval(x)
-    if mu < fx - 1e-9 * max(1.0, abs(fx)):
-        raise ValueError(f"Armijo reference mu={mu} below f(x)={fx}")
-    g = obj.grad(x)
+    xd, gd, shape = x.data, g.data, x.shape
     alpha = cfg.start_alpha()
-    y = set_.project(x - alpha * g)
     backtracks = 0
     while True:
+        y = set_.project(Point._of(xd + alpha * d, shape))
         lhs = obj.eval(y)
-        rhs = mu + cfg.c * inner(g, y - x)
+        rhs = mu + cfg.c * float(np.dot(gd, y.data - xd))
         if lhs <= rhs:
             return StepResult(y, alpha, backtracks, lhs, rhs)
         if backtracks >= cfg.max_backtracks:
             raise BacktrackError(backtracks, alpha)
         alpha *= cfg.beta
         backtracks += 1
-        y = set_.project(x - alpha * g)
+
+
+def pgd_map(set_: FeasibleSet, obj: Objective, x: Point, mu: float,
+            cfg: SolverConfig, *, fx: float | None = None, g: Point | None = None) -> StepResult:
+    """One backtracking projected line search along the negative gradient.
+
+    Starting from the configured initial step, projects x - alpha*grad(x)
+    onto the set and shrinks alpha by beta until the Armijo condition
+    f(y) <= mu + c * <grad(x), y - x> holds. Requires x feasible and
+    mu >= f(x); raises BacktrackError past the backtracking budget.
+    ``fx`` and ``g`` are f(x) and grad(x) when the caller already holds
+    them; each is computed when omitted.
+    """
+    if fx is None:
+        fx = obj.eval(x)
+    if mu < fx - 1e-9 * max(1.0, abs(fx)):
+        raise ValueError(f"Armijo reference mu={mu} below f(x)={fx}")
+    if g is None:
+        g = obj.grad(x)
+    return _line_search(set_, obj, x, g, -g.data, mu, cfg)
 
 
 def _check_start(set_: FeasibleSet, x0: Point):
@@ -231,7 +249,8 @@ def pgd(set_: FeasibleSet, obj: Objective, x0: Point, cfg: SolverConfig,
     i = 0
     while True:
         x = iterates[i]
-        v = -obj.grad(x)
+        g = obj.grad(x)
+        v = -g
         if stationarity == "regular":
             stat = set_.dist_regular_normal(x, v)
             stop = stat <= cfg.stat_tol
@@ -254,7 +273,7 @@ def pgd(set_: FeasibleSet, obj: Objective, x0: Point, cfg: SolverConfig,
             term = Termination.MAX_ITERS
             break
         try:
-            step = pgd_map(set_, obj, x, mu, cfg)
+            step = pgd_map(set_, obj, x, mu, cfg, fx=f_values[i], g=g)
         except BacktrackError as err:
             _log.warning("backtracking stalled at iteration %d: %s", i, err)
             term = Termination.BACKTRACK_FAILURE
@@ -296,8 +315,9 @@ def p2gd(set_: FeasibleSet, obj: Objective, x0: Point, cfg: SolverConfig) -> Tra
         x = iterates[i]
         fx = f_values[i]
         grad = obj.grad(x)
-        direction = set_.project_tangent(x, -grad)
-        stats.append(set_.dist_regular_normal(x, -grad))
+        v = -grad
+        direction = set_.project_tangent(x, v)
+        stats.append(set_.dist_regular_normal(x, v))
         mu_values.append(fx)
 
         if norm(direction) <= cfg.stat_tol:
@@ -306,30 +326,16 @@ def p2gd(set_: FeasibleSet, obj: Objective, x0: Point, cfg: SolverConfig) -> Tra
         if i >= cfg.max_iters:
             term = Termination.MAX_ITERS
             break
-
-        alpha = cfg.start_alpha()
-        y = set_.project(x + alpha * direction)
-        k = 0
-        failed = False
-        while True:
-            lhs = obj.eval(y)
-            rhs = fx + cfg.c * inner(grad, y - x)
-            if lhs <= rhs:
-                break
-            if k >= cfg.max_backtracks:
-                failed = True
-                break
-            alpha *= cfg.beta
-            k += 1
-            y = set_.project(x + alpha * direction)
-        if failed:
+        try:
+            step = _line_search(set_, obj, x, grad, direction.data, fx, cfg)
+        except BacktrackError:
             _log.warning("tangent-space backtracking stalled at iteration %d", i)
             term = Termination.BACKTRACK_FAILURE
             break
-        iterates.append(y)
-        f_values.append(lhs)
-        alphas.append(alpha)
-        backtracks.append(k)
+        iterates.append(step.y)
+        f_values.append(step.armijo_lhs)
+        alphas.append(step.alpha_accepted)
+        backtracks.append(step.backtracks)
         i += 1
 
     return Trace(iterates, f_values, mu_values, alphas, backtracks, stats, term)

@@ -6,6 +6,7 @@ used to check.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -70,3 +71,110 @@ def graph_min_distance_scaled(p: np.ndarray, grid: int = 400001) -> float:
     taus = np.linspace(-2.0, 2.0, grid)
     heights = np.where(taus > 0.0, np.power(np.maximum(taus, 0.0) * scale, 0.6) / scale, 0.0)
     return scale * float(np.hypot(taus - p[0] / scale, heights - p[1] / scale).min())
+
+
+# -- plain-numpy replays of the solvers on the sparse set ----------------------
+#
+# Textbook loops over bare arrays for f(x) = 0.5 * ||A x - b||^2 on
+# {x : ||x||_0 <= s}. They evaluate f, the gradient, the projection and the
+# Armijo test in the same floating-point order as the library, so a replay
+# must match a library run exactly (==), not merely to a tolerance.
+
+
+def _ls_value(A, b, x):
+    r = A @ x - b
+    return 0.5 * float(r @ r)
+
+
+def _ls_grad(A, b, x):
+    return A.T @ (A @ x - b)
+
+
+def _hard_threshold(z, s):
+    # Keep the s largest magnitudes; ties go to the smallest index.
+    keep = np.argsort(-np.abs(z), kind="stable")[:s]
+    y = np.zeros(z.size)
+    y[keep] = z[keep]
+    return y
+
+
+def _support(x, tol):
+    return np.flatnonzero(np.abs(x) > tol)
+
+
+def _regular_distance(x, v, s, tol):
+    support = _support(x, tol)
+    return float(np.linalg.norm(v[support] if support.size == s else v))
+
+
+def _backtrack(A, b, s, x, g, d, mu, alpha, beta, c, max_backtracks):
+    """(y, f(y), alpha, backtracks) of the first Armijo trial, or None."""
+    k = 0
+    while True:
+        y = _hard_threshold(x + alpha * d, s)
+        fy = _ls_value(A, b, y)
+        if fy <= mu + c * float(g @ (y - x)):
+            return y, fy, alpha, k
+        if k >= max_backtracks:
+            return None
+        alpha *= beta
+        k += 1
+
+
+def replay_sparse_pgd(A, b, s, x0, *, alpha, beta, c, window=None, weight=None,
+                      stat_tol, max_iters, max_backtracks, tol=1e-9):
+    """pgd with the max rule (window) or the average rule (weight); returns the trace columns."""
+    xs, fs, alphas, bts, mus, stats = [x0], [_ls_value(A, b, x0)], [math.nan], [0], [], []
+    mu = fs[0]
+    i = 0
+    while True:
+        x = xs[i]
+        g = _ls_grad(A, b, x)
+        stats.append(_regular_distance(x, -g, s, tol))
+        if window is not None:
+            mu = max(fs[max(0, i - window):i + 1])
+        else:
+            mu = (1.0 - weight) * mu + weight * fs[i]
+        mus.append(mu)
+        if stats[-1] <= stat_tol:
+            return xs, fs, mus, alphas, bts, stats, "stationary-at-tol"
+        if i >= max_iters:
+            return xs, fs, mus, alphas, bts, stats, "max-iters"
+        step = _backtrack(A, b, s, x, g, -g, mu, alpha, beta, c, max_backtracks)
+        if step is None:
+            return xs, fs, mus, alphas, bts, stats, "backtrack-failure"
+        for col, val in zip((xs, fs, alphas, bts), step):
+            col.append(val)
+        i += 1
+
+
+def replay_sparse_p2gd(A, b, s, x0, *, alpha, beta, c, stat_tol, max_iters, max_backtracks,
+                       tol=1e-9):
+    """p2gd: monotone Armijo search along the tangent-cone projection of -grad."""
+    xs, fs, alphas, bts, mus, stats = [x0], [_ls_value(A, b, x0)], [math.nan], [0], [], []
+    i = 0
+    while True:
+        x, fx = xs[i], fs[i]
+        g = _ls_grad(A, b, x)
+        v = -g
+        support = _support(x, tol)
+        d = np.zeros(x.size)
+        d[support] = v[support]
+        free = s - support.size
+        if free > 0:
+            mag = np.abs(v)
+            mag[support] = -np.inf
+            keep = np.argsort(-mag, kind="stable")[:free]
+            d[keep] = v[keep]
+        stats.append(_regular_distance(x, v, s, tol))
+        mus.append(fx)
+        if np.linalg.norm(d) <= stat_tol:
+            return xs, fs, mus, alphas, bts, stats, "stationary-at-tol"
+        if i >= max_iters:
+            return xs, fs, mus, alphas, bts, stats, "max-iters"
+        step = _backtrack(A, b, s, x, g, d, fx, alpha, beta, c, max_backtracks)
+        if step is None:
+            return xs, fs, mus, alphas, bts, stats, "backtrack-failure"
+        for col, val in zip((xs, fs, alphas, bts), step):
+            col.append(val)
+        i += 1

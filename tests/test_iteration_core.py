@@ -1,0 +1,273 @@
+"""The shared iteration core: evaluation counts, the unchecked Point path, golden outputs.
+
+pgd and p2gd evaluate the gradient once per iterate and f once per trial
+point; arithmetic on points skips the constructor's parsing but keeps its
+finiteness check; and the refactor reproduces the committed README outputs
+and a plain-numpy replay of both solvers bit for bit.
+"""
+
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from ncpgd import (
+    AverageRule,
+    MaxRule,
+    Objective,
+    Point,
+    SolverConfig,
+    SparseSet,
+    Termination,
+    least_squares,
+    norm,
+    p2gd,
+    pgd,
+    pgd_map,
+)
+from ncpgd import cli
+
+from helpers import replay_sparse_p2gd, replay_sparse_pgd
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+# -- evaluation counts ----------------------------------------------------------
+
+
+class Counted:
+    """An objective whose value and gradient callables count their calls."""
+
+    def __init__(self, obj):
+        self.f_calls = 0
+        self.grad_calls = 0
+
+        def ev(x):
+            self.f_calls += 1
+            return obj.eval(x)
+
+        def gr(x):
+            self.grad_calls += 1
+            return obj.grad(x)
+
+        self.obj = Objective(ev, gr, name="counted")
+
+
+def _sparse_instance(seed, n=12, s=3):
+    rng = np.random.default_rng(seed)
+    return SparseSet(n, s), least_squares(Point(rng.standard_normal(n))), Point.zeros((n,))
+
+
+RULES = [MaxRule(0), MaxRule(3), AverageRule(0.5)]
+
+
+@pytest.mark.parametrize("solve", [pgd, p2gd], ids=["pgd", "p2gd"])
+@pytest.mark.parametrize("rule", RULES, ids=repr)
+@pytest.mark.parametrize("alpha_max", [0.7, 2.5])
+def test_one_gradient_per_iterate_and_one_f_per_trial(solve, rule, alpha_max):
+    backtracked = False
+    for seed in range(3):
+        set_, obj, x0 = _sparse_instance(seed)
+        counted = Counted(obj)
+        trace = solve(set_, counted.obj, x0, SolverConfig(alpha_max=alpha_max, rule=rule))
+        assert trace.termination is not Termination.BACKTRACK_FAILURE
+        assert counted.grad_calls == len(trace)
+        assert counted.f_calls == len(trace) + sum(trace.backtrack_counts)
+        backtracked |= sum(trace.backtrack_counts) > 0
+    # A step above 2 overshoots on least squares, so the searches backtrack.
+    assert backtracked or alpha_max < 1.0
+
+
+@pytest.mark.parametrize("solve", [pgd, p2gd], ids=["pgd", "p2gd"])
+def test_counts_of_a_failed_line_search(solve):
+    # A gradient of the wrong sign: no trial step ever passes Armijo.
+    wrong = Objective(lambda x: 0.5 * float(x.data @ x.data), lambda x: -x, name="wrong-grad")
+    counted = Counted(wrong)
+    cfg = SolverConfig(max_backtracks=5)
+    trace = solve(SparseSet(3, 2), counted.obj, Point([1.0, 2.0, 0.0]), cfg)
+    assert trace.termination is Termination.BACKTRACK_FAILURE
+    assert counted.grad_calls == len(trace)
+    failed_trials = cfg.max_backtracks + 1
+    assert counted.f_calls == len(trace) + sum(trace.backtrack_counts) + failed_trials
+
+
+def test_standalone_pgd_map_evaluates_what_it_is_not_given():
+    set_, obj, x = _sparse_instance(4)
+    x = set_.project(Point(np.random.default_rng(4).standard_normal(12)))
+    cfg = SolverConfig(alpha_max=1.9)
+    counted = Counted(obj)
+    step = pgd_map(set_, counted.obj, x, obj.eval(x), cfg)
+    assert step.backtracks > 0
+    assert counted.grad_calls == 1
+    assert counted.f_calls == 1 + step.backtracks + 1
+
+    counted = Counted(obj)
+    given_step = pgd_map(set_, counted.obj, x, obj.eval(x), cfg, fx=obj.eval(x), g=obj.grad(x))
+    assert counted.grad_calls == 0
+    assert counted.f_calls == step.backtracks + 1
+    assert _bits(given_step.y.data).tolist() == _bits(step.y.data).tolist()
+    assert (given_step.alpha_accepted, given_step.backtracks, given_step.armijo_lhs,
+            given_step.armijo_rhs) == (step.alpha_accepted, step.backtracks, step.armijo_lhs,
+                                       step.armijo_rhs)
+
+
+def test_pgd_map_checks_mu_against_the_given_f():
+    set_, obj, x = _sparse_instance(5)
+    with pytest.raises(ValueError, match="below f"):
+        pgd_map(set_, obj, x, 0.0, SolverConfig(), fx=1.0)
+
+
+# -- the unchecked Point path keeps the safety checks ----------------------------
+
+
+def test_overflowing_arithmetic_still_raises():
+    big = Point([1e308])
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+        big + big
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+        -big - big
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+        big * 10.0
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+        10.0 * big
+
+
+def test_arithmetic_results_are_read_only_and_carry_no_factors():
+    x, y = Point([[1.0, 2.0], [3.0, 4.0]]), Point([[0.5, -1.0], [2.0, 0.0]])
+    for z in (x + y, x - y, -x, 2.0 * x, x * 0.5):
+        assert z.shape == (2, 2)
+        assert not z.data.flags.writeable
+        assert getattr(z, "_factors", None) is None
+        with pytest.raises(ValueError):
+            z.data[0] = 7.0
+        with pytest.raises(AttributeError):
+            z.shape = (4,)
+
+
+def test_constructor_copies_and_flattens_row_major():
+    src = np.asfortranarray(np.arange(6.0).reshape(2, 3))
+    p = Point(src)
+    src[0, 0] = 99.0
+    assert p.data.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+    assert p.data.flags.c_contiguous and not p.data.flags.writeable
+    assert Point(p.data, (3, 2)).as_array().tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
+
+
+shapes = st.one_of(st.tuples(st.integers(1, 6)), st.tuples(st.integers(1, 4), st.integers(1, 4)))
+coords = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def point_pairs(draw):
+    shape = draw(shapes)
+    size = math.prod(shape)
+    a = np.array(draw(st.lists(coords, min_size=size, max_size=size)))
+    b = np.array(draw(st.lists(coords, min_size=size, max_size=size)))
+    scalar = draw(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
+    return shape, a, b, scalar
+
+
+@given(point_pairs())
+def test_operators_equal_the_validating_constructor_bitwise(case):
+    shape, a, b, scalar = case
+    x, y = Point(a, shape), Point(b, shape)
+    for got, want in ((x + y, Point(a + b, shape)), (x - y, Point(a - b, shape)),
+                      (-x, Point(-a, shape)), (x * scalar, Point(a * scalar, shape)),
+                      (scalar * x, Point(a * scalar, shape))):
+        assert got.shape == want.shape
+        assert np.array_equal(_bits(got.data), _bits(want.data))
+
+
+@given(st.lists(coords, min_size=1, max_size=40))
+def test_norm_is_numpy_norm_bitwise(values):
+    a = np.array(values)
+    assert _bits([norm(Point(a))]) == _bits([np.linalg.norm(a)])
+
+
+# -- golden outputs ----------------------------------------------------------------
+
+
+SOLVE = ["solve", "--set", "sparse:n=2,s=1", "--objective", "least-squares:target=1,0",
+         "--x0", "0,1", "--alpha-min", "1", "--alpha-max", "1", "--c", "0.4",
+         "--rule", "max:l=0"]
+COMPARE = ["compare", "--set", "sparse:n=2,s=1", "--objective", "least-squares:target=1,0",
+           "--x0", "0,1", "--alpha-min", "0.45", "--alpha-max", "0.45", "--c", "0.05"]
+
+
+def test_readme_solve_matches_golden_bytes(tmp_path, capsys):
+    out = tmp_path / "trace.csv"
+    assert cli.main(SOLVE + ["--out", str(out)]) == cli.EXIT_OK
+    assert capsys.readouterr().out == (GOLDEN / "solve.txt").read_text()
+    assert out.read_bytes() == (GOLDEN / "trace.csv").read_bytes()
+
+
+def test_readme_compare_matches_golden_bytes(tmp_path, capsys):
+    out, arrows = tmp_path / "compare.csv", tmp_path / "arrows.csv"
+    assert cli.main(COMPARE + ["--out", str(out), "--emit-plot-data", str(arrows)]) == cli.EXIT_OK
+    assert capsys.readouterr().out == (GOLDEN / "compare.txt").read_text()
+    assert out.read_bytes() == (GOLDEN / "compare.csv").read_bytes()
+    assert arrows.read_bytes() == (GOLDEN / "arrows.csv").read_bytes()
+
+
+def _sensing_instance(seed, n=16, s=3, rows=10):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((rows, n)) / math.sqrt(rows)
+    truth = np.zeros(n)
+    truth[rng.choice(n, size=s, replace=False)] = rng.standard_normal(s)
+    b = A @ truth + 0.01 * rng.standard_normal(rows)
+
+    def ev(x):
+        r = A @ x.data - b
+        return 0.5 * float(r @ r)
+
+    def gr(x):
+        return Point(A.T @ (A @ x.data - b), x.shape)
+
+    return A, b, SparseSet(n, s), Objective(ev, gr, name="sensing")
+
+
+def _assert_trace_equals(trace, replay):
+    xs, fs, mus, alphas, bts, stats, termination = replay
+    assert trace.termination.value == termination
+    assert len(trace) == len(xs)
+    for got, want in zip(trace.iterates, xs):
+        assert np.array_equal(_bits(got.data), _bits(want))
+    assert trace.f_values == fs
+    assert trace.mu_values == mus
+    assert _bits(trace.alphas).tolist() == _bits(alphas).tolist()
+    assert trace.backtrack_counts == bts
+    assert trace.stat_measures == stats
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("rule", RULES, ids=repr)
+def test_pgd_replays_bit_for_bit(seed, rule):
+    A, b, set_, obj = _sensing_instance(seed)
+    cfg = SolverConfig(alpha_max=3.0, rule=rule, max_iters=60)
+    trace = pgd(set_, obj, Point.zeros((set_.n,)), cfg)
+    window = rule.window if isinstance(rule, MaxRule) else None
+    weight = rule.weight if isinstance(rule, AverageRule) else None
+    replay = replay_sparse_pgd(A, b, set_.s, np.zeros(set_.n), alpha=cfg.alpha_max, beta=cfg.beta,
+                               c=cfg.c, window=window, weight=weight, stat_tol=cfg.stat_tol,
+                               max_iters=cfg.max_iters, max_backtracks=cfg.max_backtracks)
+    assert len(trace) > 3 and sum(trace.backtrack_counts) > 0
+    _assert_trace_equals(trace, replay)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_p2gd_replays_bit_for_bit(seed):
+    A, b, set_, obj = _sensing_instance(seed)
+    cfg = SolverConfig(alpha_max=3.0, max_iters=60)
+    trace = p2gd(set_, obj, Point.zeros((set_.n,)), cfg)
+    replay = replay_sparse_p2gd(A, b, set_.s, np.zeros(set_.n), alpha=cfg.alpha_max, beta=cfg.beta,
+                                c=cfg.c, stat_tol=cfg.stat_tol, max_iters=cfg.max_iters,
+                                max_backtracks=cfg.max_backtracks)
+    assert len(trace) > 3 and sum(trace.backtrack_counts) > 0
+    _assert_trace_equals(trace, replay)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ncpgd import (
+    FeasibleSet,
     InfeasiblePointError,
     LowRankSet,
     MaxRule,
@@ -15,9 +16,11 @@ from ncpgd import (
     Point,
     PsdLowRankSet,
     SolverConfig,
+    classify_stationarity,
     detect_apocalypse,
     pgd,
 )
+from ncpgd.sets.base import WITNESS_ALPHA_GRID, proximal_normal_witness
 from ncpgd.sets.lowrank import _fix_gauge
 
 TALL_SETS = [LowRankSet(8, 4, 2), LowRankSet(30, 10, 2)]
@@ -258,3 +261,45 @@ def test_projection_is_independent_of_the_sign_convention(rng):
         lam = np.maximum(w[n - r:], 0.0)
         want = (Q[:, n - r:] * lam) @ Q[:, n - r:].T
         assert np.array_equal(_bits(PsdLowRankSet(n, r).project(Point(Z)).as_array()), _bits(want))
+
+
+# -- membership from carried factors ------------------------------------------
+
+
+@pytest.mark.parametrize("set_,name", [(LowRankSet(20, 15, 3), "svd"),
+                                       (PsdLowRankSet(12, 3), "eigh")], ids=["lowrank", "psd"])
+def test_classify_at_a_projected_point_skips_the_membership_decomposition(set_, name, rng,
+                                                                          monkeypatch):
+    y = set_.project(Point(rng.standard_normal(set_.ambient_shape)))
+    v = -Point(rng.standard_normal(set_.ambient_shape))
+    obj = Objective(lambda x: 0.0, lambda x: v, name="fixed-gradient")
+    tol = 1e-7
+    calls = _count_calls(monkeypatch, name)
+    assert set_.contains(y, tol)
+    assert calls == []
+    proximal_normal_witness(set_, y, -v, WITNESS_ALPHA_GRID, tol)
+    set_.in_general_normal(y, -v, tol)
+    others = len(calls)
+    del calls[:]
+    classify_stationarity(set_, obj, y, tol)
+    # The witness and the general-normal test decompose; the membership test
+    # and the distance reuse the projection's factors.
+    assert len(calls) == others
+
+
+@pytest.mark.parametrize("set_,smaller", [(LowRankSet(6, 6, 2), LowRankSet(6, 6, 1)),
+                                          (LowRankSet(9, 5, 3), LowRankSet(9, 5, 2)),
+                                          (PsdLowRankSet(5, 2), PsdLowRankSet(5, 1)),
+                                          (PsdLowRankSet(40, 4), PsdLowRankSet(40, 2))],
+                         ids=lambda s: repr(s))
+def test_carried_membership_agrees_with_the_projection(set_, smaller, rng):
+    for y in _projected_points(set_, rng):
+        assert _carries(y)
+        for query in (set_, smaller):
+            for tol in (None, 1e-12, 1e-7, 0.3):
+                assert query.contains(y, tol) == FeasibleSet.contains(query, y, tol)
+    # A smaller rank bound rejects top-stratum points and accepts low-rank ones.
+    top = set_.project(set_.random_point(rng, stratum=set_.r))
+    assert set_.contains(top) and not smaller.contains(top)
+    low = set_.project(set_.random_point(rng, stratum=smaller.r))
+    assert smaller.contains(low)
