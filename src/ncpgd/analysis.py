@@ -110,9 +110,10 @@ def detect_apocalypse(set_: FeasibleSet, obj: Objective, trace: Trace,
     """Flag runs whose stationarity measure vanishes but whose limit is not stationary.
 
     The limit point is estimated as the projected mean of the last five
-    iterates; the flag is raised when the regular-normal measure series ends
-    below tol while the measure at the limit exceeds 10*tol. A trace whose
-    tail has not settled (diameter >= tol) is never flagged.
+    iterates; the flag is raised when the regular-normal measure series
+    (``trace.stat_measures``) ends below tol while the measure at the limit
+    exceeds 10*tol. A trace whose tail has not settled (diameter >= tol) is
+    never flagged.
     """
     tail = trace.iterates[-5:]
     diameter = 0.0
@@ -121,7 +122,7 @@ def detect_apocalypse(set_: FeasibleSet, obj: Objective, trace: Trace,
             diameter = max(diameter, norm(tail[i] - tail[j]))
     mean = Point(np.mean([p.data for p in tail], axis=0), tail[0].shape)
     limit = set_.project(mean)
-    series = stationarity_measure_series(set_, obj, trace, kind="regular")
+    series = list(trace.stat_measures)
     measure_at_limit = set_.dist_regular_normal(limit, -obj.grad(limit), tol)
     if diameter >= tol:
         return ApocalypseFlag(limit, series, measure_at_limit, False,

@@ -41,22 +41,6 @@ EXIT_SUITE = 4
 
 _FLOAT_FMT = "%.17g"
 
-_DEFAULTS = {
-    "alpha_min": "1e-4",
-    "alpha_max": "1.0",
-    "beta": "0.5",
-    "c": "1e-4",
-    "rule": "max:l=0",
-    "stat_tol": "1e-8",
-    "max_iters": "1000",
-    "max_backtracks": "60",
-    "initial_step": "max",
-    "algorithm": "pgd",
-    "stationarity": "regular",
-    "seed": "0",
-}
-
-
 class SpecError(ValueError):
     """An experiment spec field failed to parse."""
 
@@ -87,14 +71,22 @@ def read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def merge_spec(args: argparse.Namespace, fields: tuple[str, ...]) -> dict[str, str]:
-    merged = dict(_DEFAULTS)
-    if getattr(args, "config", None):
-        merged.update(read_config_file(args.config))
-    for name in fields:
-        value = getattr(args, name, None)
+def merge_spec(args: argparse.Namespace) -> dict[str, str]:
+    """The config file's values overridden by the flags given.
+
+    The file may set exactly the keys the command has flags for; any other
+    key is rejected.
+    """
+    keys = [name for name in vars(args) if name not in ("command", "fn", "config")]
+    merged = read_config_file(args.config) if args.config else {}
+    unknown = sorted(set(merged) - set(keys))
+    if unknown:
+        raise SpecError(f"{args.config}: unknown key(s) {', '.join(map(repr, unknown))} "
+                        f"(accepted: the {args.command} flag names)")
+    for name in keys:
+        value = getattr(args, name)
         if value is not None:
-            merged[name] = str(value)
+            merged[name] = value
     return merged
 
 
@@ -160,41 +152,40 @@ def parse_rule_field(text: str) -> MaxRule | AverageRule:
     raise SpecError(f"field 'rule': expected max:l=K or avg:p=P, got {text!r}")
 
 
-def _float_field(merged: dict[str, str], name: str) -> float:
-    try:
-        return float(merged[name])
-    except ValueError:
-        raise SpecError(f"field {name!r}: expected a number, got {merged[name]!r}") from None
+def _initial_step(text: str) -> float | None:
+    return None if text.strip() in ("max", "alpha-max") else float(text)
 
 
-def _int_field(merged: dict[str, str], name: str) -> int:
-    try:
-        return int(merged[name])
-    except ValueError:
-        raise SpecError(f"field {name!r}: expected an integer, got {merged[name]!r}") from None
+# Each CLI-exposed SolverConfig field: the parser of its text and what the
+# text must be. Flags, config keys and build_solver_config all read this
+# table; SolverConfig alone holds the defaults.
+_SOLVER_FIELDS = {
+    "alpha_min": (float, "a number"),
+    "alpha_max": (float, "a number"),
+    "beta": (float, "a number"),
+    "c": (float, "a number"),
+    "rule": (parse_rule_field, "max:l=K or avg:p=P"),
+    "stat_tol": (float, "a number"),
+    "max_iters": (int, "an integer"),
+    "max_backtracks": (int, "an integer"),
+    "initial_step": (_initial_step, "a number or 'max'"),
+}
 
 
 def build_solver_config(merged: dict[str, str]) -> SolverConfig:
-    step_text = merged["initial_step"].strip()
-    if step_text in ("max", "alpha-max"):
-        step = None
-    else:
+    """SolverConfig from the fields a flag or the config file set."""
+    given = {}
+    for name, (parse, expected) in _SOLVER_FIELDS.items():
+        if name not in merged:
+            continue
         try:
-            step = float(step_text)
+            given[name] = parse(merged[name])
+        except SpecError:
+            raise
         except ValueError:
-            raise SpecError(f"field 'initial_step': expected a number or 'max', got {step_text!r}") from None
+            raise SpecError(f"field {name!r}: expected {expected}, got {merged[name]!r}") from None
     try:
-        return SolverConfig(
-            alpha_min=_float_field(merged, "alpha_min"),
-            alpha_max=_float_field(merged, "alpha_max"),
-            beta=_float_field(merged, "beta"),
-            c=_float_field(merged, "c"),
-            rule=parse_rule_field(merged["rule"]),
-            stat_tol=_float_field(merged, "stat_tol"),
-            max_iters=_int_field(merged, "max_iters"),
-            max_backtracks=_int_field(merged, "max_backtracks"),
-            initial_step=step,
-        )
+        return SolverConfig(**given)
     except (ValueError, TypeError) as err:
         raise SpecError(f"bad solver configuration: {err}") from None
 
@@ -307,11 +298,6 @@ def write_plot_data_csv(fh, obj: Objective, traces: dict[str, Trace]):
 
 # -- commands -----------------------------------------------------------------
 
-_SOLVE_FIELDS = ("set", "objective", "x0", "alpha_min", "alpha_max", "beta", "c",
-                 "rule", "stat_tol", "max_iters", "max_backtracks", "initial_step",
-                 "algorithm", "stationarity", "seed", "out", "emit_plot_data")
-
-
 def _build_problem(merged: dict[str, str]):
     set_ = sets.from_spec(_require(merged, "set"))
     obj = parse_objective_field(_require(merged, "objective"), set_.ambient_shape)
@@ -329,14 +315,14 @@ def _summary_line(name: str, set_: FeasibleSet, obj: Objective, trace: Trace,
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    merged = merge_spec(args, _SOLVE_FIELDS)
+    merged = merge_spec(args)
     set_, obj, x0, cfg = _build_problem(merged)
     if not set_.contains(x0):
         print(f"error: x0 is not on {set_!r}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    algorithm = merged["algorithm"]
+    algorithm = merged.get("algorithm", "pgd")
     if algorithm == "pgd":
-        trace = pgd(set_, obj, x0, cfg, stationarity=merged["stationarity"])
+        trace = pgd(set_, obj, x0, cfg, stationarity=merged.get("stationarity", "regular"))
     elif algorithm == "p2gd":
         trace = p2gd(set_, obj, x0, cfg)
     else:
@@ -360,13 +346,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    merged = merge_spec(args, _SOLVE_FIELDS)
+    merged = merge_spec(args)
     set_, obj, x0, cfg = _build_problem(merged)
     if not set_.contains(x0):
         print(f"error: x0 is not on {set_!r}", file=sys.stderr)
         return EXIT_INFEASIBLE
     try:
-        traces = {"pgd": pgd(set_, obj, x0, cfg, stationarity=merged["stationarity"]),
+        traces = {"pgd": pgd(set_, obj, x0, cfg, stationarity=merged.get("stationarity", "regular")),
                   "p2gd": p2gd(set_, obj, x0, cfg)}
     except NotImplementedError as err:
         print(f"error: {err}", file=sys.stderr)
@@ -422,20 +408,16 @@ def cmd_cones(args: argparse.Namespace) -> int:
 # -- property suites ----------------------------------------------------------
 
 
-def _suite_sets() -> list[FeasibleSet]:
-    return [sets.SparseSet(6, 2), sets.NonnegSparseSet(6, 2),
-            sets.LowRankSet(4, 4, 2), sets.PsdLowRankSet(4, 2),
-            sets.CurveSet(), sets.EpigraphSet()]
-
-
-def _reference_sets() -> list[FeasibleSet]:
-    return [sets.SparseSet(6, 2), sets.NonnegSparseSet(6, 2),
-            sets.LowRankSet(4, 4, 2), sets.PsdLowRankSet(4, 2)]
+# Sets whose proximal and regular normal cones coincide everywhere; the curve
+# and the epigraph, whose cones differ at the kink, complete the suite pool.
+_CONE_EQUAL_SETS = (sets.SparseSet(6, 2), sets.NonnegSparseSet(6, 2),
+                    sets.LowRankSet(4, 4, 2), sets.PsdLowRankSet(4, 2))
+_SUITE_SETS = _CONE_EQUAL_SETS + (sets.CurveSet(), sets.EpigraphSet())
 
 
 def suite_projected_translation(seed: int, trials: int) -> tuple[bool, list[str]]:
     rng = np.random.default_rng(seed)
-    pool = _suite_sets()
+    pool = _SUITE_SETS
     for t in range(trials):
         set_ = pool[t % len(pool)]
         x = set_.random_point(rng)
@@ -453,7 +435,7 @@ def suite_prox_equals_regular(seed: int, trials: int) -> tuple[bool, list[str]]:
     points = max(1, trials)
     directions = 20
     checked = 0
-    for set_ in _reference_sets():
+    for set_ in _CONE_EQUAL_SETS:
         for stratum in set_.stratum_ids:
             for _ in range(points):
                 x = set_.random_point(rng, stratum=stratum)
@@ -468,7 +450,7 @@ def suite_prox_equals_regular(seed: int, trials: int) -> tuple[bool, list[str]]:
 
 def suite_armijo_postcondition(seed: int, trials: int) -> tuple[bool, list[str]]:
     rng = np.random.default_rng(seed)
-    pool = _reference_sets()
+    pool = _CONE_EQUAL_SETS
     rules = [MaxRule(0), MaxRule(2), MaxRule(5),
              AverageRule(0.1), AverageRule(0.5), AverageRule(1.0)]
     steps = 0
@@ -513,10 +495,9 @@ def cmd_check(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     fn, default_trials = SUITES[args.suite]
     trials = args.trials if args.trials is not None else default_trials
-    seed = args.seed if args.seed is not None else 0
-    passed, detail = fn(seed, trials)
+    passed, detail = fn(args.seed, trials)
     status = "PASS" if passed else "FAIL"
-    print(f"suite {args.suite}: {status} (seed={seed})")
+    print(f"suite {args.suite}: {status} (seed={args.seed})")
     for line in detail:
         print(("  " if passed else "  counterexample: ") + line)
     return EXIT_OK if passed else EXIT_SUITE
@@ -530,18 +511,9 @@ def _add_solver_flags(p: argparse.ArgumentParser):
     p.add_argument("--set", help="feasible set spec, e.g. sparse:n=2,s=1")
     p.add_argument("--objective", help="objective spec, e.g. least-squares:target=1,0")
     p.add_argument("--x0", help="starting point, comma-separated (row-major for matrices)")
-    p.add_argument("--alpha-min", dest="alpha_min", type=float)
-    p.add_argument("--alpha-max", dest="alpha_max", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--c", type=float)
-    p.add_argument("--rule", help="max:l=K or avg:p=P")
-    p.add_argument("--stat-tol", dest="stat_tol", type=float)
-    p.add_argument("--max-iters", dest="max_iters", type=int)
-    p.add_argument("--max-backtracks", dest="max_backtracks", type=int)
-    p.add_argument("--initial-step", dest="initial_step",
-                   help="initial line-search step: a number or 'max'")
+    for name, (_, expected) in _SOLVER_FIELDS.items():
+        p.add_argument("--" + name.replace("_", "-"), dest=name, help=expected)
     p.add_argument("--stationarity", choices=["regular", "proximal"])
-    p.add_argument("--seed", type=int)
     p.add_argument("--out", help="write the CSV trace here instead of stdout")
     p.add_argument("--emit-plot-data", dest="emit_plot_data",
                    help="also write point/arrow series for plotting to this path")
@@ -572,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run a randomized property suite")
     p_check.add_argument("--suite", required=True,
                          help=f"one of: {', '.join(sorted(SUITES))}")
-    p_check.add_argument("--seed", type=int)
+    p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--trials", type=int,
                          help="trial count (for prox-equals-regular: points per stratum)")
     p_check.set_defaults(fn=cmd_check)
@@ -604,7 +576,7 @@ def main(argv=None) -> int:
     except InfeasiblePointError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (SpecError, ValueError, NotImplementedError) as err:
+    except (SpecError, ValueError, NotImplementedError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except BacktrackError as err:

@@ -141,6 +141,8 @@ class Trace:
     All lists share one length. Row 0 describes the initial point; its alpha
     is NaN and its backtrack count 0 because no step produced it. The mu of
     the final row is the Armijo reference that a further step would have used.
+    ``stat_measures`` holds the distance from -grad(x) to the regular normal
+    cone at each iterate, whichever stopping test the run used.
     """
 
     iterates: list[Point]
@@ -251,13 +253,12 @@ def pgd(set_: FeasibleSet, obj: Objective, x0: Point, cfg: SolverConfig,
         x = iterates[i]
         g = obj.grad(x)
         v = -g
+        stat = set_.dist_regular_normal(x, v)
+        stats.append(stat)
         if stationarity == "regular":
-            stat = set_.dist_regular_normal(x, v)
             stop = stat <= cfg.stat_tol
         else:
-            stat = set_.dist_proximal_normal(x, v)
             stop = proximal_normal_witness(set_, x, v, tol=cfg.stat_tol) is not None
-        stats.append(stat)
 
         if isinstance(cfg.rule, MaxRule):
             mu = mu_update_max(f_values, i, cfg.rule.window)

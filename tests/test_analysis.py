@@ -5,6 +5,7 @@ from ncpgd import (
     CurveSet,
     InfeasiblePointError,
     MaxRule,
+    Objective,
     Point,
     SolverConfig,
     SparseSet,
@@ -133,6 +134,32 @@ def test_constant_objective_is_not_flagged():
     trace = pgd(TWO_AXIS, constant(), START, fixed_step_config(0.45, 0.05))
     flag = detect_apocalypse(TWO_AXIS, constant(), trace)
     assert not flag.flagged
+
+
+def test_apocalypse_reads_the_measure_series_from_the_trace():
+    trace = p2gd(TWO_AXIS, OBJ, START, fixed_step_config(0.45, 0.05, max_iters=60))
+    calls = []
+    counting = Objective(OBJ.eval, lambda x: calls.append(x) or OBJ.grad(x), name="counting")
+    flag = detect_apocalypse(TWO_AXIS, counting, trace)
+    # One gradient, at the estimated limit.
+    assert len(calls) == 1
+    assert flag.measure_along_sequence == trace.stat_measures
+    assert flag.measure_along_sequence is not trace.stat_measures
+
+
+class _ProximalDistanceDiffers(SparseSet):
+    """A set whose proximal infimum distance is not the regular one."""
+
+    def dist_proximal_normal(self, x, v, tol=None):
+        return self.dist_regular_normal(x, v, tol) + 1.0
+
+
+def test_pgd_records_regular_measures_under_either_stopping_test():
+    set_ = _ProximalDistanceDiffers(2, 1)
+    cfg = fixed_step_config(0.45, 0.05, max_iters=60)
+    for stationarity in ("regular", "proximal"):
+        trace = pgd(set_, OBJ, START, cfg, stationarity=stationarity)
+        assert trace.stat_measures == stationarity_measure_series(set_, OBJ, trace, kind="regular")
 
 
 def test_unconverged_trace_not_flagged_with_note():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from ncpgd import cli
+from ncpgd import SolverConfig, cli
 
 
 def run_cli(argv, capsys):
@@ -118,6 +119,78 @@ def test_config_file_with_flag_overrides(tmp_path, capsys):
                           "--alpha-max", "0.45", "--c", "0.05", "--out", str(out2)], capsys)
     assert code == cli.EXIT_OK
     assert len(cli.read_trace_csv(str(out2))["iter"]) > 2
+
+
+def _config_from(argv):
+    return cli.build_solver_config(cli.merge_spec(cli.build_parser().parse_args(argv)))
+
+
+def test_solver_defaults_come_from_solver_config():
+    assert cli.build_solver_config({}) == SolverConfig()
+    assert _config_from(["solve"]) == SolverConfig()
+
+
+# A non-default text for every SolverConfig field; a field without a CLI
+# entry fails the test below.
+FIELD_TEXT = {"alpha_min": "0.25", "alpha_max": "0.5", "beta": "0.3", "c": "0.2",
+              "rule": "avg:p=0.5", "stat_tol": "1e-6", "max_iters": "7",
+              "max_backtracks": "9", "initial_step": "0.4"}
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SolverConfig)])
+def test_every_solver_field_is_a_flag_and_a_config_key(name, tmp_path):
+    flag = name.replace("_", "-")
+    from_flag = _config_from(["compare", f"--{flag}", FIELD_TEXT[name]])
+    value = getattr(from_flag, name)
+    assert value != getattr(SolverConfig(), name)
+    assert from_flag == dataclasses.replace(SolverConfig(), **{name: value})
+    for key in {name, flag}:
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"{key} = {FIELD_TEXT[name]}\n")
+        assert _config_from(["compare", "--config", str(cfg)]) == from_flag
+
+
+def test_unknown_config_key_is_named(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("max_iter = 2\nalgoritm = p2gd\n")
+    code, stdout, stderr = run_cli(SOLVE_ARGS + ["--config", str(cfg)], capsys)
+    assert code == cli.EXIT_USAGE
+    assert stdout == ""
+    assert "'algoritm'" in stderr and "'max_iter'" in stderr
+    # algorithm is a solve flag, not a compare flag.
+    cfg.write_text("algorithm = pgd\n")
+    code, _, stderr = run_cli(["compare", "--config", str(cfg)], capsys)
+    assert code == cli.EXIT_USAGE
+    assert "'algorithm'" in stderr
+
+
+@pytest.mark.parametrize("key,text", [("beta", "half"), ("max_iters", "2.5"),
+                                      ("initial_step", "largest"), ("rule", "max:l=x")])
+def test_bad_value_same_message_from_flag_and_file(key, text, tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"{key} = {text}\n")
+    problem = SOLVE_ARGS[:7]
+    code_file, _, err_file = run_cli(problem + ["--config", str(cfg)], capsys)
+    code_flag, _, err_flag = run_cli(problem + [f"--{key.replace('_', '-')}", text], capsys)
+    assert code_file == code_flag == cli.EXIT_USAGE
+    assert err_file == err_flag
+    assert err_flag.startswith(f"error: field {key!r}")
+
+
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_seed_is_not_a_solve_or_compare_flag(command, capsys):
+    code, _, stderr = run_cli([command] + SOLVE_ARGS[1:] + ["--seed", "1"], capsys)
+    assert code == cli.EXIT_USAGE
+    assert "--seed" in stderr
+
+
+@pytest.mark.parametrize("flag", ["--config", "--out", "--emit-plot-data"])
+def test_bad_path_is_a_usage_error(flag, tmp_path, capsys):
+    missing = str(tmp_path / "no-such-dir" / "file")
+    code, _, stderr = run_cli(SOLVE_ARGS + [flag, missing], capsys)
+    assert code == cli.EXIT_USAGE
+    assert stderr.splitlines()[-1].startswith("error: ")
+    assert missing in stderr
 
 
 def test_compare_reports_apocalypse(tmp_path, capsys):

@@ -154,8 +154,8 @@ def test_one_decomposition_per_projection(set_, name, rng, monkeypatch):
 
     del calls[:]
     detect_apocalypse(set_, obj, trace)
-    # x0 in the measure series, and project(mean) for the limit.
-    assert len(calls) == 2
+    # Only project(mean) for the limit: the measure series is the trace's own.
+    assert len(calls) == 1
 
 
 # -- trusting carried factors -------------------------------------------------
