@@ -71,11 +71,16 @@ def read_config_file(path: str) -> dict[str, str]:
     return values
 
 
+# CLI-level choices that are not SolverConfig fields. merge_spec checks them,
+# so a flag and a config value get the same message whatever else is set.
+_CHOICE_FIELDS = {"algorithm": ("pgd", "p2gd"), "stationarity": ("regular", "proximal")}
+
+
 def merge_spec(args: argparse.Namespace) -> dict[str, str]:
     """The config file's values overridden by the flags given.
 
     The file may set exactly the keys the command has flags for; any other
-    key is rejected.
+    key is rejected, and so is a value outside _CHOICE_FIELDS.
     """
     keys = [name for name in vars(args) if name not in ("command", "fn", "config")]
     merged = read_config_file(args.config) if args.config else {}
@@ -87,6 +92,10 @@ def merge_spec(args: argparse.Namespace) -> dict[str, str]:
         value = getattr(args, name)
         if value is not None:
             merged[name] = value
+    for name, choices in _CHOICE_FIELDS.items():
+        if name in merged and merged[name] not in choices:
+            raise SpecError(f"field {name!r}: expected {' or '.join(choices)}, "
+                            f"got {merged[name]!r}")
     return merged
 
 
@@ -323,10 +332,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     algorithm = merged.get("algorithm", "pgd")
     if algorithm == "pgd":
         trace = pgd(set_, obj, x0, cfg, stationarity=merged.get("stationarity", "regular"))
-    elif algorithm == "p2gd":
-        trace = p2gd(set_, obj, x0, cfg)
     else:
-        raise SpecError(f"field 'algorithm': expected pgd or p2gd, got {algorithm!r}")
+        trace = p2gd(set_, obj, x0, cfg)
     classify_tol = 10.0 * cfg.stat_tol
     flags = _witness_flags(set_, obj, trace, classify_tol)
     out = merged.get("out")
@@ -513,7 +520,7 @@ def _add_solver_flags(p: argparse.ArgumentParser):
     p.add_argument("--x0", help="starting point, comma-separated (row-major for matrices)")
     for name, (_, expected) in _SOLVER_FIELDS.items():
         p.add_argument("--" + name.replace("_", "-"), dest=name, help=expected)
-    p.add_argument("--stationarity", choices=["regular", "proximal"])
+    p.add_argument("--stationarity", help=" or ".join(_CHOICE_FIELDS["stationarity"]))
     p.add_argument("--out", help="write the CSV trace here instead of stdout")
     p.add_argument("--emit-plot-data", dest="emit_plot_data",
                    help="also write point/arrow series for plotting to this path")
@@ -528,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="run one algorithm and emit a CSV trace")
     _add_solver_flags(p_solve)
-    p_solve.add_argument("--algorithm", choices=["pgd", "p2gd"])
+    p_solve.add_argument("--algorithm", help=" or ".join(_CHOICE_FIELDS["algorithm"]))
     p_solve.set_defaults(fn=cmd_solve)
 
     p_cmp = sub.add_parser("compare", help="run pgd and p2gd side by side")

@@ -104,11 +104,28 @@ class FeasibleSet(ABC):
 
 def proximal_normal_witness(set_: FeasibleSet, x: Point, v: Point,
                             alphas=WITNESS_ALPHA_GRID, tol: float | None = None) -> float | None:
-    """First trial step length certifying v as a proximal normal at x.
+    """Largest step length of the grid certifying v as a proximal normal at x.
 
-    Checks x in P_C(x + a*v) by comparing a*||v|| with the achieved distance
-    d(x + a*v, C); the comparison is relative, so the certificate does not
-    become vacuous at small a. Returns the first successful a, else None.
+    A step a certifies when x is in P_C(x + a*v): the achieved distance
+    d(x + a*v, C) must match a*||v|| up to tol * a * max(1, ||v||), a test
+    relative to a so that it does not become vacuous at small a. ``alphas``
+    must be positive and strictly decreasing; returns the largest certifying
+    entry, else None.
+
+    The certifying steps are closed downward: phi(a) = d(x + a*v, C)^2 -
+    a^2 ||v||^2 is a minimum of affine functions of a, so it is concave with
+    phi(0) = 0, and the exact certifying steps form an interval (0, a*]
+    (Rockafellar & Wets, Variational Analysis, Ex. 6.16). So the search tests
+    alphas[0] (a hit returns it: 1 projection), then alphas[-1] (a miss
+    returns None: 2 projections), and otherwise bisects between them: at most
+    2 + ceil(log2(len(alphas) - 1)) projections, 7 on the default grid.
+
+    Its answer equals the first certifying entry of a scan over the grid
+    except where roundoff decides the test: when tol * a * max(1, ||v||) at
+    the smallest steps falls below the rounding error of x + a*v (tol near
+    1e-12, or ||v|| near 1e-9 at the default tol), the smallest step can fail
+    while a larger one certifies, and the search returns None.
+
     This is a sufficient certificate usable on any set; directions that sit
     on a removed boundary ray of a non-closed proximal cone can defeat it at
     very small step lengths, which is why the 2-D example sets also carry a
@@ -119,17 +136,31 @@ def proximal_normal_witness(set_: FeasibleSet, x: Point, v: Point,
     alphas = tuple(float(a) for a in alphas)
     if not all(a > 0.0 for a in alphas):
         raise ValueError("witness step lengths must be positive")
+    if any(b >= a for a, b in zip(alphas, alphas[1:])):
+        raise ValueError("witness step lengths must be strictly decreasing")
     if not alphas:
         return None
     if nv == 0.0:
         return alphas[0]
-    for a in alphas:
+
+    def certifies(a: float) -> bool:
         z = x + a * v
-        y = set_.project(z)
-        gap = a * nv - norm(z - y)
-        if gap <= tol * a * max(1.0, nv):
-            return a
-    return None
+        gap = a * nv - norm(z - set_.project(z))
+        return gap <= tol * a * max(1.0, nv)
+
+    if certifies(alphas[0]):
+        return alphas[0]
+    # Invariant: alphas[miss] fails and alphas[hit] certifies.
+    miss, hit = 0, len(alphas) - 1
+    if hit == 0 or not certifies(alphas[hit]):
+        return None
+    while hit - miss > 1:
+        mid = (miss + hit) // 2
+        if certifies(alphas[mid]):
+            hit = mid
+        else:
+            miss = mid
+    return alphas[hit]
 
 
 def in_proximal_normal_witness(set_: FeasibleSet, x: Point, v: Point,

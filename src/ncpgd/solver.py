@@ -233,8 +233,10 @@ def pgd(set_: FeasibleSet, obj: Objective, x0: Point, cfg: SolverConfig,
     by default when the distance from -grad(x) to the regular normal cone is
     at most ``cfg.stat_tol``; with ``stationarity="proximal"`` when the
     sampling-based proximal-normal certificate succeeds (the right test when
-    the gradient is locally Lipschitz). Exact cone membership is not
-    numerically decidable, hence the tolerance.
+    the gradient is locally Lipschitz). That certificate costs 2 projections
+    at an iterate where it fails and at most 7 where it succeeds (see
+    proximal_normal_witness). Exact cone membership is not numerically
+    decidable, hence the tolerance.
     """
     if stationarity not in ("regular", "proximal"):
         raise ValueError(f"stationarity must be 'regular' or 'proximal', got {stationarity!r}")

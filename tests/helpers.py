@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from ncpgd import norm
+
 
 def sparse_bruteforce(z: np.ndarray, s: int):
     """Best distance and all minimizers over every support pattern."""
@@ -71,6 +73,31 @@ def graph_min_distance_scaled(p: np.ndarray, grid: int = 400001) -> float:
     taus = np.linspace(-2.0, 2.0, grid)
     heights = np.where(taus > 0.0, np.power(np.maximum(taus, 0.0) * scale, 0.6) / scale, 0.0)
     return scale * float(np.hypot(taus - p[0] / scale, heights - p[1] / scale).min())
+
+
+def witness_scan(set_, x, v, alphas, tol=None):
+    """The linear scan over the step grid: the first certifying step, in grid order.
+
+    The reference for proximal_normal_witness, which finds the same step by
+    bisection: up to len(alphas) projections against its at most
+    2 + ceil(log2(len(alphas) - 1)).
+    """
+    tol = set_.tol if tol is None else float(tol)
+    nv = norm(v)
+    alphas = tuple(float(a) for a in alphas)
+    if not all(a > 0.0 for a in alphas):
+        raise ValueError("witness step lengths must be positive")
+    if not alphas:
+        return None
+    if nv == 0.0:
+        return alphas[0]
+    for a in alphas:
+        z = x + a * v
+        y = set_.project(z)
+        gap = a * nv - norm(z - y)
+        if gap <= tol * a * max(1.0, nv):
+            return a
+    return None
 
 
 # -- plain-numpy replays of the solvers on the sparse set ----------------------

@@ -5,9 +5,11 @@ PASS/FAIL lines as they complete.
 """
 
 import functools
+import io
 import itertools
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +41,7 @@ from ncpgd import (
     quartic,
     stationarity_measure_series,
 )
+from ncpgd import cli
 
 from helpers import nonneg_sparse_bruteforce, psd_truncation, sparse_bruteforce, svd_truncation
 
@@ -70,32 +73,59 @@ def assert_coords(point, expected, tol=1e-12):
     assert np.allclose(point.data, expected, atol=tol, rtol=0.0), (point.data, expected)
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def traces_csv(runs) -> str:
+    """What `ncpgd solve` writes for every (set, objective, config, trace) run, in one CSV.
+
+    Each row gets a leading `run` column, and the coordinates are padded with
+    empty cells to the widest run.
+    """
+    dim = max(trace.iterates[0].data.size for *_, trace in runs)
+    lines = [",".join(["run"] + cli.trace_header(dim))]
+    for k, (set_, obj, cfg, trace) in enumerate(runs):
+        one = io.StringIO()
+        cli.write_trace_csv(one, trace, cli._witness_flags(set_, obj, trace, 10.0 * cfg.stat_tol))
+        pad = "," * (dim - trace.iterates[0].data.size)
+        lines += [f"{k},{row}{pad}" for row in one.getvalue().splitlines()[1:]]
+    return "\n".join(lines) + "\n"
+
+
+def assert_matches_golden(runs, name):
+    assert traces_csv(runs).encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
 # -- 1: closed-form trajectory reproduction -----------------------------------
 
 
 @criterion(1, "closed-form trajectories")
 def test_criterion_1_closed_form_trajectories():
     started = time.perf_counter()
+    runs = []
 
-    trace = pgd(TWO_AXIS, OBJ, START, fixed_step_config(1.0, 0.4))
+    def run(solver, cfg):
+        trace = solver(TWO_AXIS, OBJ, START, cfg)
+        runs.append((TWO_AXIS, OBJ, cfg, trace))
+        return trace
+
+    trace = run(pgd, fixed_step_config(1.0, 0.4))
     assert len(trace) == 2
     assert_coords(trace.iterates[0], [0.0, 1.0])
     assert_coords(trace.iterates[1], [1.0, 0.0])
 
-    trace = p2gd(TWO_AXIS, OBJ, START, fixed_step_config(1.0, 0.4))
+    trace = run(p2gd, fixed_step_config(1.0, 0.4))
     assert len(trace) == 3
     assert_coords(trace.iterates[1], [0.0, 0.0])
     assert_coords(trace.iterates[2], [1.0, 0.0])
 
     alpha = 0.45
-    trace = p2gd(TWO_AXIS, OBJ, START,
-                 fixed_step_config(alpha, 0.05, max_iters=25, stat_tol=1e-300))
+    trace = run(p2gd, fixed_step_config(alpha, 0.05, max_iters=25, stat_tol=1e-300))
     assert len(trace) == 26
     for i, x in enumerate(trace.iterates):
         assert_coords(x, [0.0, (1.0 - alpha) ** i])
 
-    trace = pgd(TWO_AXIS, OBJ, START,
-                fixed_step_config(alpha, 0.05, max_iters=25, stat_tol=1e-300))
+    trace = run(pgd, fixed_step_config(alpha, 0.05, max_iters=25, stat_tol=1e-300))
     i_star = math.floor(math.log(alpha) / math.log(1.0 - alpha))
     assert i_star == 1
     for i in range(i_star + 1):
@@ -105,6 +135,7 @@ def test_criterion_1_closed_form_trajectories():
 
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0, f"trajectory reproduction took {elapsed:.3f}s"
+    assert_matches_golden(runs, "acceptance_1.csv")
 
 
 # -- 2: apocalypse detection ---------------------------------------------------
@@ -130,6 +161,8 @@ def test_criterion_2_apocalypse_detection():
     report_p = classify_stationarity(TWO_AXIS, OBJ, flag_p.limit_point, tol=1e-7)
     assert report_p.classification == "P-stationary"
     assert_coords(flag_p.limit_point, [1.0, 0.0], tol=1e-6)
+    assert_matches_golden([(TWO_AXIS, OBJ, cfg, trace_t), (TWO_AXIS, OBJ, cfg, trace_p)],
+                          "acceptance_2.csv")
 
 
 # -- 3: projected-translation inequalities -------------------------------------
@@ -268,6 +301,7 @@ def test_criterion_6_nonmonotone_rules(nonmonotone_runs):
             assert trace.f_values[i] <= rhs + slack
             decay = trace.mu_values[i - 1] - cfg.c / (2.0 * trace.alphas[i]) * norm(gap) ** 2
             assert trace.f_values[i] <= decay + slack
+    assert_matches_golden(nonmonotone_runs, "acceptance_6.csv")
 
 
 @criterion(7, "final iterates certify stationary")

@@ -177,6 +177,29 @@ def test_bad_value_same_message_from_flag_and_file(key, text, tmp_path, capsys):
     assert err_flag.startswith(f"error: field {key!r}")
 
 
+STATIONARITY_ERROR = "field 'stationarity': expected regular or proximal, got 'prox'"
+
+
+@pytest.mark.parametrize("command,values,message", [
+    ("solve", {"stationarity": "prox"}, STATIONARITY_ERROR),
+    ("solve", {"algorithm": "p2gd", "stationarity": "prox"}, STATIONARITY_ERROR),
+    ("solve", {"algorithm": "pg"}, "field 'algorithm': expected pgd or p2gd, got 'pg'"),
+    ("compare", {"stationarity": "prox"}, STATIONARITY_ERROR),
+])
+def test_bad_choice_same_message_from_flag_and_file(command, values, message, tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("".join(f"{key} = {text}\n" for key, text in values.items()))
+    flags = [arg for key, text in values.items() for arg in (f"--{key}", text)]
+    # x0 is off the set: the choice is checked before the problem is built.
+    problem = [command, "--set", "sparse:n=2,s=1", "--objective",
+               "least-squares:target=1,0", "--x0", "5,5"]
+    code_file, out_file, err_file = run_cli(problem + ["--config", str(cfg)], capsys)
+    code_flag, out_flag, err_flag = run_cli(problem + flags, capsys)
+    assert code_file == code_flag == cli.EXIT_USAGE
+    assert out_file == out_flag == ""
+    assert err_file == err_flag == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["solve", "compare"])
 def test_seed_is_not_a_solve_or_compare_flag(command, capsys):
     code, _, stderr = run_cli([command] + SOLVE_ARGS[1:] + ["--seed", "1"], capsys)
