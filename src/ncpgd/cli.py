@@ -448,7 +448,7 @@ def suite_prox_equals_regular(seed: int, trials: int) -> tuple[bool, list[str]]:
                 x = set_.random_point(rng, stratum=stratum)
                 for _ in range(directions):
                     v = set_.sample_regular_normal(x, rng)
-                    if proximal_normal_witness(set_, x, v) is None:
+                    if not in_proximal_normal_witness(set_, x, v):
                         return False, [f"set={set_!r} stratum={stratum} "
                                        f"x={_fmt_point(x)} v={_fmt_point(v)}"]
                     checked += 1

@@ -47,6 +47,14 @@ class FeasibleSet(ABC):
     def _infeasible(self, x: Point, why: str):
         raise InfeasiblePointError(f"point not on {self!r}: {why} (x={x!r})")
 
+    def _pick_stratum(self, rng: np.random.Generator, stratum: int | None) -> int:
+        """A uniform draw from stratum_ids, or the given stratum once checked against them."""
+        ids = self.stratum_ids
+        k = ids[int(rng.integers(0, len(ids)))] if stratum is None else int(stratum)
+        if k not in ids:
+            raise ValueError(f"stratum must be in {ids[0]}..{ids[-1]}, got {k}")
+        return k
+
     # -- interface ----------------------------------------------------------
 
     @abstractmethod
@@ -102,6 +110,26 @@ class FeasibleSet(ABC):
         """Random element of the regular normal cone at the feasible point x."""
 
 
+def _witness_test(set_: FeasibleSet, x: Point, v: Point, alphas, tol: float | None):
+    """The validated step grid and the per-step test of the two witness queries."""
+    tol = set_.tol if tol is None else float(tol)
+    nv = norm(v)
+    alphas = tuple(float(a) for a in alphas)
+    if not all(a > 0.0 for a in alphas):
+        raise ValueError("witness step lengths must be positive")
+    if any(b >= a for a, b in zip(alphas, alphas[1:])):
+        raise ValueError("witness step lengths must be strictly decreasing")
+
+    def certifies(a: float) -> bool:
+        if nv == 0.0:
+            return True
+        z = x + a * v
+        gap = a * nv - norm(z - set_.project(z))
+        return gap <= tol * a * max(1.0, nv)
+
+    return alphas, certifies
+
+
 def proximal_normal_witness(set_: FeasibleSet, x: Point, v: Point,
                             alphas=WITNESS_ALPHA_GRID, tol: float | None = None) -> float | None:
     """Largest step length of the grid certifying v as a proximal normal at x.
@@ -131,23 +159,9 @@ def proximal_normal_witness(set_: FeasibleSet, x: Point, v: Point,
     very small step lengths, which is why the 2-D example sets also carry a
     closed-form in_proximal_normal.
     """
-    tol = set_.tol if tol is None else float(tol)
-    nv = norm(v)
-    alphas = tuple(float(a) for a in alphas)
-    if not all(a > 0.0 for a in alphas):
-        raise ValueError("witness step lengths must be positive")
-    if any(b >= a for a, b in zip(alphas, alphas[1:])):
-        raise ValueError("witness step lengths must be strictly decreasing")
+    alphas, certifies = _witness_test(set_, x, v, alphas, tol)
     if not alphas:
         return None
-    if nv == 0.0:
-        return alphas[0]
-
-    def certifies(a: float) -> bool:
-        z = x + a * v
-        gap = a * nv - norm(z - set_.project(z))
-        return gap <= tol * a * max(1.0, nv)
-
     if certifies(alphas[0]):
         return alphas[0]
     # Invariant: alphas[miss] fails and alphas[hit] certifies.
@@ -165,7 +179,16 @@ def proximal_normal_witness(set_: FeasibleSet, x: Point, v: Point,
 
 def in_proximal_normal_witness(set_: FeasibleSet, x: Point, v: Point,
                                alphas=WITNESS_ALPHA_GRID, tol: float | None = None) -> bool:
-    return proximal_normal_witness(set_, x, v, alphas, tol) is not None
+    """Whether some step of the grid certifies v as a proximal normal at x.
+
+    Equals ``proximal_normal_witness(...) is not None``, which the search
+    decides from the first and the last step alone. This tests the last
+    (smallest) step, then the first: 1 projection when the smallest step
+    certifies, 2 otherwise. Callers that need only this truth value skip the
+    bisection.
+    """
+    alphas, certifies = _witness_test(set_, x, v, alphas, tol)
+    return bool(alphas) and (certifies(alphas[-1]) or certifies(alphas[0]))
 
 
 def projected_translation_check(set_: FeasibleSet, x: Point, v: Point,

@@ -54,19 +54,60 @@ def _nearest_parameter(p: np.ndarray) -> float:
     return float(ts[int(np.argmin(d))])
 
 
-def _clamp_fourth_quadrant(v: np.ndarray) -> np.ndarray:
-    return np.array([max(v[0], 0.0), min(v[1], 0.0)])
+class _KinkedGraph(FeasibleSet):
+    """A planar set whose boundary is the kinked graph, with its kink at the origin.
+
+    Strata 0, 1 and 2 are the kink and the open left and right graph pieces;
+    at the kink both the curve and the epigraph have the fourth quadrant as
+    regular normal cone and the same proximal cone inside it.
+    """
+
+    def __init__(self, tol: float = DEFAULT_TOL):
+        super().__init__((2,), tol)
+
+    @staticmethod
+    def _graph_stratum(t: float, tl: float) -> int:
+        if abs(t) <= tl:
+            return 0
+        return 1 if t < 0.0 else 2
+
+    @staticmethod
+    def _dist_kink_normal(v: np.ndarray) -> float:
+        # The regular normal cone at the kink is the fourth quadrant.
+        q = np.array([max(v[0], 0.0), min(v[1], 0.0)])
+        return float(np.linalg.norm(v - q))
+
+    def in_proximal_normal(self, x: Point, v: Point, tol: float | None = None) -> bool:
+        tl = self._tol(tol)
+        kink = self.stratum_id(x, tol) == 0
+        if self.dist_regular_normal(x, v, tol) > tl:
+            return False
+        # At the kink the proximal cone is the fourth quadrant minus the open
+        # positive horizontal ray.
+        return not (kink and float(v.data[0]) > tl and abs(float(v.data[1])) <= tl)
+
+    def random_point(self, rng: np.random.Generator, stratum: int | None = None) -> Point:
+        k = self._pick_stratum(rng, stratum)
+        if k == 0:
+            return Point.zeros((2,))
+        if k in (1, 2):
+            t = float(rng.uniform(0.2, 2.0))
+            return _graph_point(-t if k == 1 else t)
+        t = float(rng.uniform(-2.0, 2.0))
+        return Point([t, _graph_height(t) + float(rng.uniform(0.1, 2.0))], (2,))
+
+    @staticmethod
+    def _sample_kink_normal(v_rng: np.random.Generator) -> Point:
+        g = v_rng.standard_normal(2)
+        return Point([abs(g[0]), -abs(g[1])], (2,))
 
 
-class CurveSet(FeasibleSet):
+class CurveSet(_KinkedGraph):
     """The curve {(t, max(0, t^(3/5))) : t real}.
 
     Stratum 0 is the kink at the origin, stratum 1 the open left ray,
     stratum 2 the open right branch.
     """
-
-    def __init__(self, tol: float = DEFAULT_TOL):
-        super().__init__((2,), tol)
 
     def __repr__(self):
         return "curve"
@@ -95,10 +136,7 @@ class CurveSet(FeasibleSet):
         return _graph_point(_nearest_parameter(np.asarray(x.data)))
 
     def stratum_id(self, x: Point, tol: float | None = None) -> int:
-        t = self._param(x, tol)
-        if abs(t) <= self._tol(tol):
-            return 0
-        return 1 if t < 0.0 else 2
+        return self._graph_stratum(self._param(x, tol), self._tol(tol))
 
     def _unit_tangent(self, t: float) -> np.ndarray:
         if t < 0.0:
@@ -110,22 +148,10 @@ class CurveSet(FeasibleSet):
         self._require_shape(v)
         t = self._param(x, tol)
         if abs(t) <= self._tol(tol):
-            q = _clamp_fourth_quadrant(v.data)
-            return float(np.linalg.norm(v.data - q))
+            return self._dist_kink_normal(v.data)
         # Smooth point: the normal cone is the line orthogonal to the tangent.
         tau = self._unit_tangent(t)
         return abs(float(np.dot(v.data, tau)))
-
-    def in_proximal_normal(self, x: Point, v: Point, tol: float | None = None) -> bool:
-        t = self._param(x, tol)
-        tl = self._tol(tol)
-        if abs(t) > tl:
-            return self.dist_regular_normal(x, v, tol) <= tl
-        # At the kink the proximal cone is the fourth quadrant minus the open
-        # positive horizontal ray.
-        if self.dist_regular_normal(x, v, tol) > tl:
-            return False
-        return not (float(v.data[0]) > tl and abs(float(v.data[1])) <= tl)
 
     def _dist_tangent(self, v: np.ndarray) -> float:
         up = np.array([0.0, max(v[1], 0.0)])
@@ -154,33 +180,22 @@ class CurveSet(FeasibleSet):
         tau = self._unit_tangent(t)
         return Point._of(float(np.dot(v.data, tau)) * tau, (2,))
 
-    def random_point(self, rng: np.random.Generator, stratum: int | None = None) -> Point:
-        k = int(rng.integers(0, 3)) if stratum is None else int(stratum)
-        if k == 0:
-            return Point.zeros((2,))
-        t = float(rng.uniform(0.2, 2.0))
-        return _graph_point(-t if k == 1 else t)
-
     def sample_regular_normal(self, x: Point, v_rng: np.random.Generator,
                               tol: float | None = None) -> Point:
         t = self._param(x, tol)
         if abs(t) <= self._tol(tol):
-            g = v_rng.standard_normal(2)
-            return Point([abs(g[0]), -abs(g[1])], (2,))
+            return self._sample_kink_normal(v_rng)
         tau = self._unit_tangent(t)
         normal = np.array([-tau[1], tau[0]])
         return Point(float(v_rng.standard_normal()) * normal, (2,))
 
 
-class EpigraphSet(FeasibleSet):
+class EpigraphSet(_KinkedGraph):
     """The region {(x1, x2) : x2 >= max(0, x1^(3/5))}.
 
     Stratum 0 is the origin, strata 1 and 2 the open left and right boundary
     pieces, stratum 3 the interior.
     """
-
-    def __init__(self, tol: float = DEFAULT_TOL):
-        super().__init__((2,), tol)
 
     def __repr__(self):
         return "epigraph"
@@ -209,9 +224,7 @@ class EpigraphSet(FeasibleSet):
             self._infeasible(x, "below the boundary graph")
         if slack > tl:
             return 3
-        if abs(t) <= tl:
-            return 0
-        return 1 if t < 0.0 else 2
+        return self._graph_stratum(t, tl)
 
     def _outward_normal(self, t: float) -> np.ndarray:
         if t < 0.0:
@@ -225,21 +238,12 @@ class EpigraphSet(FeasibleSet):
         if stratum == 3:
             return norm(v)
         if stratum == 0:
-            q = _clamp_fourth_quadrant(v.data)
-            return float(np.linalg.norm(v.data - q))
+            return self._dist_kink_normal(v.data)
         nhat = self._outward_normal(float(x.data[0]))
         s = float(np.dot(v.data, nhat))
         if s <= 0.0:
             return norm(v)
         return float(np.linalg.norm(v.data - s * nhat))
-
-    def in_proximal_normal(self, x: Point, v: Point, tol: float | None = None) -> bool:
-        tl = self._tol(tol)
-        if self.stratum_id(x, tol) != 0:
-            return self.dist_regular_normal(x, v, tol) <= tl
-        if self.dist_regular_normal(x, v, tol) > tl:
-            return False
-        return not (float(v.data[0]) > tl and abs(float(v.data[1])) <= tl)
 
     def in_general_normal(self, x: Point, v: Point, tol: float | None = None) -> bool:
         # Limits of regular normals at nearby points land inside the regular
@@ -261,23 +265,12 @@ class EpigraphSet(FeasibleSet):
             return v
         return Point._of(v.data - s * nhat, (2,))
 
-    def random_point(self, rng: np.random.Generator, stratum: int | None = None) -> Point:
-        k = int(rng.integers(0, 4)) if stratum is None else int(stratum)
-        if k == 0:
-            return Point.zeros((2,))
-        if k in (1, 2):
-            t = float(rng.uniform(0.2, 2.0))
-            return _graph_point(-t if k == 1 else t)
-        t = float(rng.uniform(-2.0, 2.0))
-        return Point([t, _graph_height(t) + float(rng.uniform(0.1, 2.0))], (2,))
-
     def sample_regular_normal(self, x: Point, v_rng: np.random.Generator,
                               tol: float | None = None) -> Point:
         stratum = self.stratum_id(x, tol)
         if stratum == 3:
             return Point.zeros((2,))
         if stratum == 0:
-            g = v_rng.standard_normal(2)
-            return Point([abs(g[0]), -abs(g[1])], (2,))
+            return self._sample_kink_normal(v_rng)
         nhat = self._outward_normal(float(x.data[0]))
         return Point(abs(float(v_rng.standard_normal())) * nhat, (2,))

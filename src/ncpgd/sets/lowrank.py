@@ -139,9 +139,7 @@ class LowRankSet(FeasibleSet):
         return Point._of(out.reshape(-1), (self.m, self.n))
 
     def random_point(self, rng: np.random.Generator, stratum: int | None = None) -> Point:
-        k = int(rng.integers(0, self.r + 1)) if stratum is None else int(stratum)
-        if not 0 <= k <= self.r:
-            raise ValueError(f"stratum must be in 0..{self.r}, got {k}")
+        k = self._pick_stratum(rng, stratum)
         if k == 0:
             return Point.zeros((self.m, self.n))
         Qu, _ = np.linalg.qr(rng.standard_normal((self.m, k)))
@@ -261,9 +259,7 @@ class PsdLowRankSet(FeasibleSet):
         return bool(np.max(wb, initial=0.0) <= t * scale)
 
     def random_point(self, rng: np.random.Generator, stratum: int | None = None) -> Point:
-        k = int(rng.integers(0, self.r + 1)) if stratum is None else int(stratum)
-        if not 0 <= k <= self.r:
-            raise ValueError(f"stratum must be in 0..{self.r}, got {k}")
+        k = self._pick_stratum(rng, stratum)
         if k == 0:
             return Point.zeros((self.n, self.n))
         Q, _ = np.linalg.qr(rng.standard_normal((self.n, k)))

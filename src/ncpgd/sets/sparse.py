@@ -14,12 +14,15 @@ def _top_indices(magnitudes: np.ndarray, k: int) -> np.ndarray:
     return order[:k]
 
 
-class SparseSet(FeasibleSet):
-    """Vectors of R^n with at most s nonzero entries (0 < s < n).
+class _Sparsity(FeasibleSet):
+    """Vectors with at most s nonzero entries, possibly under a sign constraint.
 
-    Strata are indexed by the number of nonzero entries. Projection keeps the
-    s largest-magnitude entries, ties broken by smallest index.
+    The selection, support and cone code shared by both sparse sets. The
+    methods below default to no sign constraint; NonnegSparseSet overrides
+    them.
     """
+
+    _kind = ""
 
     def __init__(self, n: int, s: int, tol: float = DEFAULT_TOL):
         n, s = int(n), int(s)
@@ -30,28 +33,100 @@ class SparseSet(FeasibleSet):
         self.s = s
 
     def __repr__(self):
-        return f"sparse:n={self.n},s={self.s}"
+        return f"{self._kind}:n={self.n},s={self.s}"
 
     @property
     def stratum_ids(self):
         return tuple(range(self.s + 1))
 
+    def _clamp(self, a: np.ndarray) -> np.ndarray:
+        return a
+
+    def _check_signs(self, x: Point, t: float):
+        pass
+
+    def _in_sign_normal(self, v: Point, t: float) -> bool:
+        """Whether v is normal to the sign constraint alone (decides past n - s nonzeros)."""
+        return False
+
+    def _signs(self, rng: np.random.Generator, magnitudes: np.ndarray) -> np.ndarray:
+        return magnitudes * rng.choice([-1.0, 1.0], size=magnitudes.size)
+
+    def _normal_off_support(self, v_rng: np.random.Generator, size: int):
+        """Regular normal entries off the support below the top stratum."""
+        return 0.0
+
     def _support(self, x: Point, tol: float | None) -> np.ndarray:
         self._require_shape(x)
-        idx = np.flatnonzero(np.abs(x.data) > self._tol(tol))
+        t = self._tol(tol)
+        self._check_signs(x, t)
+        idx = np.flatnonzero(np.abs(x.data) > t)
         if idx.size > self.s:
             self._infeasible(x, f"{idx.size} entries exceed the sparsity level {self.s}")
         return idx
 
     def project(self, x: Point) -> Point:
         self._require_shape(x)
-        keep = _top_indices(np.abs(x.data), self.s)
+        y = self._clamp(x.data)
+        keep = _top_indices(np.abs(y), self.s)
         out = np.zeros(self.n)
-        out[keep] = x.data[keep]
+        out[keep] = y[keep]
         return Point._of(out, (self.n,))
 
     def stratum_id(self, x: Point, tol: float | None = None) -> int:
         return int(self._support(x, tol).size)
+
+    def in_general_normal(self, x: Point, v: Point, tol: float | None = None) -> bool:
+        self._require_shape(v)
+        t = self._tol(tol)
+        support = self._support(x, tol)
+        if support.size and np.max(np.abs(v.data[support])) > t:
+            return False
+        nnz = int(np.count_nonzero(np.abs(v.data) > t))
+        return nnz <= self.n - self.s or self._in_sign_normal(v, t)
+
+    def project_tangent(self, x: Point, v: Point, tol: float | None = None) -> Point:
+        self._require_shape(v)
+        support = self._support(x, tol)
+        out = np.zeros(self.n)
+        out[support] = v.data[support]
+        free = self.s - support.size
+        if free > 0:
+            w = self._clamp(v.data)
+            mag = np.abs(w)
+            mag[support] = -np.inf
+            keep = _top_indices(mag, free)
+            out[keep] = w[keep]
+        return Point._of(out, (self.n,))
+
+    def random_point(self, rng: np.random.Generator, stratum: int | None = None) -> Point:
+        k = self._pick_stratum(rng, stratum)
+        out = np.zeros(self.n)
+        if k:
+            idx = rng.choice(self.n, size=k, replace=False)
+            out[idx] = self._signs(rng, rng.uniform(0.5, 1.5, size=k))
+        return Point(out, (self.n,))
+
+    def sample_regular_normal(self, x: Point, v_rng: np.random.Generator,
+                              tol: float | None = None) -> Point:
+        support = self._support(x, tol)
+        off = np.setdiff1d(np.arange(self.n), support)
+        out = np.zeros(self.n)
+        if support.size == self.s:
+            out[off] = v_rng.standard_normal(off.size)
+        else:
+            out[off] = self._normal_off_support(v_rng, off.size)
+        return Point(out, (self.n,))
+
+
+class SparseSet(_Sparsity):
+    """Vectors of R^n with at most s nonzero entries (0 < s < n).
+
+    Strata are indexed by the number of nonzero entries. Projection keeps the
+    s largest-magnitude entries, ties broken by smallest index.
+    """
+
+    _kind = "sparse"
 
     def dist_regular_normal(self, x: Point, v: Point, tol: float | None = None) -> float:
         self._require_shape(v)
@@ -62,89 +137,21 @@ class SparseSet(FeasibleSet):
         # Below the top stratum the regular normal cone is {0}.
         return norm(v)
 
-    def in_general_normal(self, x: Point, v: Point, tol: float | None = None) -> bool:
-        self._require_shape(v)
-        t = self._tol(tol)
-        support = self._support(x, tol)
-        if support.size and np.max(np.abs(v.data[support])) > t:
-            return False
-        nnz = int(np.count_nonzero(np.abs(v.data) > t))
-        return nnz <= self.n - self.s
 
-    def project_tangent(self, x: Point, v: Point, tol: float | None = None) -> Point:
-        self._require_shape(v)
-        support = self._support(x, tol)
-        out = np.zeros(self.n)
-        out[support] = v.data[support]
-        free = self.s - support.size
-        if free > 0:
-            mag = np.abs(v.data).astype(float)
-            mag[support] = -np.inf
-            keep = _top_indices(mag, free)
-            out[keep] = v.data[keep]
-        return Point._of(out, (self.n,))
-
-    def random_point(self, rng: np.random.Generator, stratum: int | None = None) -> Point:
-        k = int(rng.integers(0, self.s + 1)) if stratum is None else int(stratum)
-        if not 0 <= k <= self.s:
-            raise ValueError(f"stratum must be in 0..{self.s}, got {k}")
-        out = np.zeros(self.n)
-        if k:
-            idx = rng.choice(self.n, size=k, replace=False)
-            out[idx] = rng.uniform(0.5, 1.5, size=k) * rng.choice([-1.0, 1.0], size=k)
-        return Point(out, (self.n,))
-
-    def sample_regular_normal(self, x: Point, v_rng: np.random.Generator,
-                              tol: float | None = None) -> Point:
-        support = self._support(x, tol)
-        out = np.zeros(self.n)
-        if support.size == self.s:
-            off = np.setdiff1d(np.arange(self.n), support)
-            out[off] = v_rng.standard_normal(off.size)
-        return Point(out, (self.n,))
-
-
-class NonnegSparseSet(FeasibleSet):
+class NonnegSparseSet(_Sparsity):
     """Nonnegative vectors of R^n with at most s nonzero entries.
 
     Projection clamps negatives to zero, then keeps the s largest entries.
     """
 
-    def __init__(self, n: int, s: int, tol: float = DEFAULT_TOL):
-        n, s = int(n), int(s)
-        if not 0 < s < n:
-            raise ValueError(f"need 0 < s < n, got n={n}, s={s}")
-        super().__init__((n,), tol)
-        self.n = n
-        self.s = s
+    _kind = "nonneg-sparse"
 
-    def __repr__(self):
-        return f"nonneg-sparse:n={self.n},s={self.s}"
+    def _clamp(self, a: np.ndarray) -> np.ndarray:
+        return np.maximum(a, 0.0)
 
-    @property
-    def stratum_ids(self):
-        return tuple(range(self.s + 1))
-
-    def _support(self, x: Point, tol: float | None) -> np.ndarray:
-        self._require_shape(x)
-        t = self._tol(tol)
+    def _check_signs(self, x: Point, t: float):
         if np.min(x.data, initial=0.0) < -t:
             self._infeasible(x, "negative entry")
-        idx = np.flatnonzero(x.data > t)
-        if idx.size > self.s:
-            self._infeasible(x, f"{idx.size} entries exceed the sparsity level {self.s}")
-        return idx
-
-    def project(self, x: Point) -> Point:
-        self._require_shape(x)
-        clamped = np.maximum(x.data, 0.0)
-        keep = _top_indices(clamped, self.s)
-        out = np.zeros(self.n)
-        out[keep] = clamped[keep]
-        return Point._of(out, (self.n,))
-
-    def stratum_id(self, x: Point, tol: float | None = None) -> int:
-        return int(self._support(x, tol).size)
 
     def dist_regular_normal(self, x: Point, v: Point, tol: float | None = None) -> float:
         self._require_shape(v)
@@ -158,47 +165,11 @@ class NonnegSparseSet(FeasibleSet):
         pos = np.maximum(v.data[off], 0.0)
         return float(np.sqrt(on + np.dot(pos, pos)))
 
-    def in_general_normal(self, x: Point, v: Point, tol: float | None = None) -> bool:
-        self._require_shape(v)
-        t = self._tol(tol)
-        support = self._support(x, tol)
-        if support.size and np.max(np.abs(v.data[support])) > t:
-            return False
-        nnz = int(np.count_nonzero(np.abs(v.data) > t))
-        if nnz <= self.n - self.s:
-            return True
+    def _in_sign_normal(self, v: Point, t: float) -> bool:
         return bool(np.max(v.data, initial=0.0) <= t)
 
-    def project_tangent(self, x: Point, v: Point, tol: float | None = None) -> Point:
-        self._require_shape(v)
-        support = self._support(x, tol)
-        out = np.zeros(self.n)
-        out[support] = v.data[support]
-        free = self.s - support.size
-        if free > 0:
-            clamped = np.maximum(v.data, 0.0)
-            clamped[support] = -np.inf
-            keep = _top_indices(clamped, free)
-            out[keep] = np.maximum(v.data[keep], 0.0)
-        return Point._of(out, (self.n,))
+    def _signs(self, rng: np.random.Generator, magnitudes: np.ndarray) -> np.ndarray:
+        return magnitudes
 
-    def random_point(self, rng: np.random.Generator, stratum: int | None = None) -> Point:
-        k = int(rng.integers(0, self.s + 1)) if stratum is None else int(stratum)
-        if not 0 <= k <= self.s:
-            raise ValueError(f"stratum must be in 0..{self.s}, got {k}")
-        out = np.zeros(self.n)
-        if k:
-            idx = rng.choice(self.n, size=k, replace=False)
-            out[idx] = rng.uniform(0.5, 1.5, size=k)
-        return Point(out, (self.n,))
-
-    def sample_regular_normal(self, x: Point, v_rng: np.random.Generator,
-                              tol: float | None = None) -> Point:
-        support = self._support(x, tol)
-        off = np.setdiff1d(np.arange(self.n), support)
-        out = np.zeros(self.n)
-        if support.size == self.s:
-            out[off] = v_rng.standard_normal(off.size)
-        else:
-            out[off] = -np.abs(v_rng.standard_normal(off.size))
-        return Point(out, (self.n,))
+    def _normal_off_support(self, v_rng: np.random.Generator, size: int):
+        return -np.abs(v_rng.standard_normal(size))

@@ -242,6 +242,14 @@ def test_cone_queries_reject_infeasible_points():
         CurveSet().stratum_id(Point.vector([1.0, 0.5]))
 
 
+@pytest.mark.parametrize("set_", ALL_SETS, ids=repr)
+def test_random_point_rejects_unknown_strata(set_):
+    rng = np.random.default_rng(0)
+    for stratum in (-1, len(set_.stratum_ids), 7):
+        with pytest.raises(ValueError, match="stratum must be in"):
+            set_.random_point(rng, stratum=stratum)
+
+
 def test_stratum_id_constant_on_strata(rng):
     for set_ in ALL_SETS:
         for stratum in set_.stratum_ids:

@@ -23,6 +23,7 @@ from ncpgd import (
     SolverConfig,
     SparseSet,
     Termination,
+    in_proximal_normal_witness,
     least_squares,
     norm,
     pgd,
@@ -87,6 +88,9 @@ def test_search_equals_scan_on_seeded_pairs(tol, monkeypatch):
                 assert len(calls) == (norm(v) > 0.0)
             else:
                 outcomes["inner"] += 1
+            del calls[:]
+            assert in_proximal_normal_witness(set_, x, v, tol=tol) == (got is not None)
+            assert len(calls) <= 2
         monkeypatch.undo()
     # Every branch of the search was exercised.
     assert min(outcomes.values()) >= 20, outcomes
@@ -117,6 +121,7 @@ def test_search_equals_scan_at_the_kink(set_, monkeypatch):
                 assert v.data.tolist() == [1.0, 0.0]
             got = proximal_normal_witness(set_, origin, v, tol=tol)
             assert got == witness_scan(set_, origin, v, WITNESS_ALPHA_GRID, tol), (k, tol)
+            assert in_proximal_normal_witness(set_, origin, v, tol=tol) == (got is not None)
             hits += got is not None
         assert 0 < hits < 720
 
@@ -159,6 +164,20 @@ def test_projection_count(v, alpha, projections, monkeypatch):
     calls = _count_projections(monkeypatch, set_)
     assert proximal_normal_witness(set_, x, v) == alpha
     assert len(calls) == projections <= BUDGET
+
+
+@pytest.mark.parametrize("v,alpha,projections", [
+    ((0.0, 1.5), 0.5, 1),    # certified for a <= 2/3: the smallest step decides
+    ((1.0, 0.0), None, 2),   # a tangent direction: fails at 2^-20 and at 1
+])
+def test_truth_value_projection_count(v, alpha, projections, monkeypatch):
+    # The 0/1 query skips the bisection that finds the largest certifying step.
+    set_ = SparseSet(2, 1)
+    x, v = Point.vector([1.0, 0.0]), Point.vector(v)
+    assert witness_scan(set_, x, v, WITNESS_ALPHA_GRID) == alpha
+    calls = _count_projections(monkeypatch, set_)
+    assert in_proximal_normal_witness(set_, x, v) == (alpha is not None)
+    assert len(calls) == projections
 
 
 def test_pgd_proximal_test_costs_two_projections_per_iterate(monkeypatch):
