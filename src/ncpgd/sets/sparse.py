@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..core import Point, norm
@@ -60,10 +62,16 @@ class _Sparsity(FeasibleSet):
         self._require_shape(x)
         t = self._tol(tol)
         self._check_signs(x, t)
-        idx = np.flatnonzero(np.abs(x.data) > t)
+        idx = (np.abs(x.data) > t).nonzero()[0]
         if idx.size > self.s:
             self._infeasible(x, f"{idx.size} entries exceed the sparsity level {self.s}")
         return idx
+
+    def _off_support(self, support: np.ndarray) -> np.ndarray:
+        """Boolean mask of the entries outside support."""
+        off = np.ones(self.n, dtype=bool)
+        off[support] = False
+        return off
 
     def project(self, x: Point) -> Point:
         self._require_shape(x)
@@ -110,12 +118,12 @@ class _Sparsity(FeasibleSet):
     def sample_regular_normal(self, x: Point, v_rng: np.random.Generator,
                               tol: float | None = None) -> Point:
         support = self._support(x, tol)
-        off = np.setdiff1d(np.arange(self.n), support)
+        off = self._off_support(support)
         out = np.zeros(self.n)
         if support.size == self.s:
-            out[off] = v_rng.standard_normal(off.size)
+            out[off] = v_rng.standard_normal(self.n - support.size)
         else:
-            out[off] = self._normal_off_support(v_rng, off.size)
+            out[off] = self._normal_off_support(v_rng, self.n - support.size)
         return Point(out, (self.n,))
 
 
@@ -133,7 +141,8 @@ class SparseSet(_Sparsity):
         support = self._support(x, tol)
         if support.size == self.s:
             # Cone = vectors supported off the support of x.
-            return float(np.linalg.norm(v.data[support]))
+            w = v.data[support]
+            return math.sqrt(np.dot(w, w))
         # Below the top stratum the regular normal cone is {0}.
         return norm(v)
 
@@ -161,8 +170,7 @@ class NonnegSparseSet(_Sparsity):
             # Off-support part is unconstrained at the top stratum.
             return float(np.sqrt(on))
         # Below it, normals are nonpositive off the support.
-        off = np.setdiff1d(np.arange(self.n), support)
-        pos = np.maximum(v.data[off], 0.0)
+        pos = np.maximum(v.data[self._off_support(support)], 0.0)
         return float(np.sqrt(on + np.dot(pos, pos)))
 
     def _in_sign_normal(self, v: Point, t: float) -> bool:

@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Objective, Point, norm
+from .core import Objective, Point, _describe, norm
 from .sets.base import FeasibleSet, InfeasiblePointError, proximal_normal_witness
 
 _log = logging.getLogger(__name__)
@@ -222,7 +222,7 @@ def pgd_map(set_: FeasibleSet, obj: Objective, x: Point, mu: float,
 
 def _check_start(set_: FeasibleSet, x0: Point):
     if not set_.contains(x0):
-        raise InfeasiblePointError(f"starting point is not on {set_!r}: {x0!r}")
+        raise InfeasiblePointError(f"starting point is not on {set_!r}: {_describe(x0)}")
 
 
 def pgd(set_: FeasibleSet, obj: Objective, x0: Point, cfg: SolverConfig,

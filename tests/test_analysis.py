@@ -17,6 +17,7 @@ from ncpgd import (
     norm,
     pgd,
     p2gd,
+    proximal_normal_witness,
     quartic,
     stationarity_measure_series,
 )
@@ -35,9 +36,11 @@ def fixed_step_config(alpha, c, **kw):
 
 
 def test_global_minimizer_is_p_stationary():
-    report = classify_stationarity(TWO_AXIS, OBJ, Point.vector([1.0, 0.0]))
+    x = Point.vector([1.0, 0.0])
+    report = classify_stationarity(TWO_AXIS, OBJ, x)
     assert report.classification == "P-stationary"
-    assert report.proximal_witness and report.witness_alpha is not None
+    # -grad = 0 there, so the first step of the grid already certifies.
+    assert proximal_normal_witness(TWO_AXIS, x, -OBJ.grad(x), tol=1e-7) == 1.0
     assert report.d_regular == 0.0
 
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from ncpgd import SolverConfig, cli
+from ncpgd import Objective, SolverConfig, cli
 
 
 def run_cli(argv, capsys):
@@ -340,6 +340,26 @@ def test_solve_emit_plot_data(tmp_path, capsys):
     lines = plot.read_text().splitlines()
     assert lines[0] == "algorithm,iter,x0,x1,target0,target1"
     assert lines[1].startswith("pgd,0,")
+
+
+def test_compare_plot_data_costs_no_gradient(tmp_path, capsys, monkeypatch):
+    # The README compare run: both CSV writers share one set of line-search targets.
+    args = ["compare", "--set", "sparse:n=2,s=1", "--objective", "least-squares:target=1,0",
+            "--x0", "0,1", "--alpha-min", "0.45", "--alpha-max", "0.45", "--c", "0.05",
+            "--out", str(tmp_path / "compare.csv")]
+    calls = []
+    grad = Objective.grad
+    monkeypatch.setattr(Objective, "grad", lambda self, x: calls.append(x) or grad(self, x))
+    assert run_cli(args, capsys)[0] == cli.EXIT_OK
+    without = len(calls)
+    del calls[:]
+    assert run_cli(args + ["--emit-plot-data", str(tmp_path / "arrows.csv")], capsys)[0] == cli.EXIT_OK
+    assert len(calls) == without
+    rows = (tmp_path / "arrows.csv").read_text().splitlines()[1:]
+    # One solver gradient per iterate, one per line-search target (every row
+    # of a trace but its last), and one each for the summary and the
+    # apocalypse report of each trace.
+    assert without == 2 * len(rows) - 2 + 2 * 2
 
 
 def test_exit_code_usage_error(capsys):

@@ -80,6 +80,29 @@ def test_point_rejects_non_finite():
         Point.vector([float("inf"), 0.0])
 
 
+@pytest.mark.parametrize("coords", [
+    [1e308, 1e308],                   # finite, but the sum overflows
+    [1e308, 1e308, -1e308, -1e308],   # finite, but pairwise summation gives inf - inf
+    [-1e308, -1e308],
+    [1.0, -2.5, 0.0],
+    [np.inf],
+    [-np.inf],
+    [np.nan],
+    [1.0, np.inf, -np.inf],
+    [0.0, -np.inf],
+], ids=str)
+def test_point_accepts_exactly_the_finite_arrays(coords):
+    a = np.array(coords)
+    finite = bool(np.isfinite(a).all())
+    for make in (lambda: Point(a), lambda: Point._of(a.copy(), a.shape)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            if finite:
+                assert np.array_equal(make().data, a)
+            else:
+                with pytest.raises(ValueError, match="non-finite"):
+                    make()
+
+
 def test_point_is_immutable():
     p = Point.vector([1, 2])
     with pytest.raises(AttributeError):

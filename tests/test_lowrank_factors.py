@@ -20,7 +20,6 @@ from ncpgd import (
     detect_apocalypse,
     pgd,
 )
-from ncpgd.sets.base import WITNESS_ALPHA_GRID, proximal_normal_witness
 from ncpgd.sets.lowrank import _fix_gauge
 
 TALL_SETS = [LowRankSet(8, 4, 2), LowRankSet(30, 10, 2)]
@@ -277,14 +276,13 @@ def test_classify_at_a_projected_point_skips_the_membership_decomposition(set_, 
     calls = _count_calls(monkeypatch, name)
     assert set_.contains(y, tol)
     assert calls == []
-    proximal_normal_witness(set_, y, -v, WITNESS_ALPHA_GRID, tol)
     set_.in_general_normal(y, -v, tol)
-    others = len(calls)
+    general = len(calls)
     del calls[:]
     classify_stationarity(set_, obj, y, tol)
-    # The witness and the general-normal test decompose; the membership test
-    # and the distance reuse the projection's factors.
-    assert len(calls) == others
+    # Only the general-normal test may decompose: the membership test and the
+    # distance reuse the projection's factors, and no witness is searched.
+    assert len(calls) == general
 
 
 @pytest.mark.parametrize("set_,smaller", [(LowRankSet(6, 6, 2), LowRankSet(6, 6, 1)),

@@ -11,9 +11,12 @@ from ncpgd import (
     NonnegSparseSet,
     Point,
     PsdLowRankSet,
+    SolverConfig,
     SparseSet,
     in_proximal_normal_witness,
+    least_squares,
     norm,
+    pgd,
     projected_translation_check,
     proximal_normal_witness,
 )
@@ -240,6 +243,32 @@ def test_cone_queries_reject_infeasible_points():
                                                 Point.zeros((2, 2)))
     with pytest.raises(InfeasiblePointError):
         CurveSet().stratum_id(Point.vector([1.0, 0.5]))
+
+
+def test_infeasibility_message_of_a_large_point_is_bounded():
+    set_ = LowRankSet(200, 200, 5)
+    x = Point(np.random.default_rng(0).standard_normal((200, 200)))
+    with pytest.raises(InfeasiblePointError) as err:
+        set_.stratum_id(x)
+    message = str(err.value)
+    assert len(message) < 1000
+    assert message.startswith("point not on lowrank:m=200,n=200,r=5: numerical rank 200 exceeds 5")
+    assert "shape=(200, 200)" in message and f"norm={norm(x)!r}" in message
+    with pytest.raises(InfeasiblePointError) as err:
+        pgd(set_, least_squares(x), x, SolverConfig())
+    message = str(err.value)
+    assert len(message) < 1000
+    assert message.startswith("starting point is not on lowrank:m=200,n=200,r=5")
+
+
+def test_infeasibility_message_of_a_small_point_holds_its_repr():
+    x = Point(np.arange(64.0).reshape(8, 8))
+    with pytest.raises(InfeasiblePointError) as err:
+        LowRankSet(8, 8, 1).stratum_id(x)
+    assert str(err.value).endswith(f"(x={x!r})")
+    with pytest.raises(InfeasiblePointError) as err:
+        pgd(LowRankSet(8, 8, 1), least_squares(x), x, SolverConfig())
+    assert str(err.value).endswith(f": {x!r}")
 
 
 @pytest.mark.parametrize("set_", ALL_SETS, ids=repr)

@@ -12,7 +12,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ncpgd import CurveSet, EpigraphSet, LowRankSet, NonnegSparseSet, Point, PsdLowRankSet, SparseSet
+from ncpgd import (
+    CurveSet,
+    EpigraphSet,
+    LowRankSet,
+    NonnegSparseSet,
+    Objective,
+    Point,
+    PsdLowRankSet,
+    SparseSet,
+    classify_stationarity,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -41,3 +51,24 @@ def test_one_span_per_query(set_):
     cls = type(set_).__name__
     for method in ("project", "dist_regular_normal"):
         assert [n for n in names if n.startswith(f"sets.{method}[")] == [f"sets.{method}[{cls}]"]
+
+
+@pytest.mark.parametrize("set_", SETS, ids=repr)
+def test_classify_searches_no_witness(set_):
+    rng = np.random.default_rng(6)
+    x = set_.project(Point(rng.standard_normal(set_.ambient_shape), set_.ambient_shape))
+    g = Point(rng.standard_normal(set_.ambient_shape), set_.ambient_shape)
+    obj = Objective(lambda p: 0.0, lambda p: g, name="fixed-gradient")
+    tracer = tracing.Tracer()
+    patches = tracing.install(tracer)
+    try:
+        classify_stationarity(set_, obj, x)
+    finally:
+        patches.restore()
+    spans = tracer.spans()
+    names = [spans.names[i] for i in spans.name]
+    assert "sets.witness" not in names
+    # At most the projection inside contains: the matrix sets answer it from
+    # the factors carried by the projected point, the 2-D sets in closed form.
+    projections = [n for n in names if n.startswith("sets.project[")]
+    assert len(projections) <= (0 if isinstance(set_, (LowRankSet, PsdLowRankSet)) else 1)
