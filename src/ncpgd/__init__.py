@@ -6,6 +6,7 @@ nonmonotone backtracking line search, together with the tangent/normal-cone
 calculus needed to certify the stationarity of the points it returns.
 """
 
+from . import sets
 from .analysis import (
     ApocalypseFlag,
     StationarityReport,
@@ -27,14 +28,8 @@ from .core import (
 )
 from .sets import (
     WITNESS_ALPHA_GRID,
-    CurveSet,
-    EpigraphSet,
     FeasibleSet,
     InfeasiblePointError,
-    LowRankSet,
-    NonnegSparseSet,
-    PsdLowRankSet,
-    SparseSet,
     from_spec,
     in_proximal_normal_witness,
     projected_translation_check,
@@ -99,3 +94,16 @@ __all__ = [
     "quartic",
     "stationarity_measure_series",
 ]
+
+
+# The six set classes resolve through ncpgd.sets, which imports a set module
+# on the first use of one of its classes.
+def __getattr__(name: str):
+    if name not in sets._CLASS_MODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    cls = globals()[name] = getattr(sets, name)
+    return cls
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(sets._CLASS_MODULES))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +27,7 @@ __all__ = [
 DEFAULT_CLASSIFY_TOL = 1e-7
 
 
-@dataclass(frozen=True)
-class StationarityReport:
+class StationarityReport(NamedTuple):
     """How -grad(f) at a feasible point sits relative to the three normal cones.
 
     The classification is consistent with the nesting of the cones:
@@ -45,8 +44,7 @@ class StationarityReport:
     classification: str
 
 
-@dataclass(frozen=True)
-class ApocalypseFlag:
+class ApocalypseFlag(NamedTuple):
     """Vanishing stationarity measure along a run vs. the measure at its limit."""
 
     limit_point: Point

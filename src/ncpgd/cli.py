@@ -416,16 +416,21 @@ def cmd_cones(args: argparse.Namespace) -> int:
 # -- property suites ----------------------------------------------------------
 
 
-# Sets whose proximal and regular normal cones coincide everywhere; the curve
-# and the epigraph, whose cones differ at the kink, complete the suite pool.
-_CONE_EQUAL_SETS = (sets.SparseSet(6, 2), sets.NonnegSparseSet(6, 2),
-                    sets.LowRankSet(4, 4, 2), sets.PsdLowRankSet(4, 2))
-_SUITE_SETS = _CONE_EQUAL_SETS + (sets.CurveSet(), sets.EpigraphSet())
+# Built when a suite runs, so that importing the CLI loads no set module.
+def _cone_equal_sets() -> tuple[FeasibleSet, ...]:
+    """Sets whose proximal and regular normal cones coincide everywhere."""
+    return (sets.SparseSet(6, 2), sets.NonnegSparseSet(6, 2),
+            sets.LowRankSet(4, 4, 2), sets.PsdLowRankSet(4, 2))
+
+
+def _suite_sets() -> tuple[FeasibleSet, ...]:
+    """The cone-equal sets plus the curve and the epigraph, whose cones differ at the kink."""
+    return _cone_equal_sets() + (sets.CurveSet(), sets.EpigraphSet())
 
 
 def suite_projected_translation(seed: int, trials: int) -> tuple[bool, list[str]]:
     rng = np.random.default_rng(seed)
-    pool = _SUITE_SETS
+    pool = _suite_sets()
     for t in range(trials):
         set_ = pool[t % len(pool)]
         x = set_.random_point(rng)
@@ -443,7 +448,7 @@ def suite_prox_equals_regular(seed: int, trials: int) -> tuple[bool, list[str]]:
     points = max(1, trials)
     directions = 20
     checked = 0
-    for set_ in _CONE_EQUAL_SETS:
+    for set_ in _cone_equal_sets():
         for stratum in set_.stratum_ids:
             for _ in range(points):
                 x = set_.random_point(rng, stratum=stratum)
@@ -458,7 +463,7 @@ def suite_prox_equals_regular(seed: int, trials: int) -> tuple[bool, list[str]]:
 
 def suite_armijo_postcondition(seed: int, trials: int) -> tuple[bool, list[str]]:
     rng = np.random.default_rng(seed)
-    pool = _CONE_EQUAL_SETS
+    pool = _cone_equal_sets()
     rules = [MaxRule(0), MaxRule(2), MaxRule(5),
              AverageRule(0.1), AverageRule(0.5), AverageRule(1.0)]
     steps = 0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+
 from .base import (
     DEFAULT_TOL,
     WITNESS_ALPHA_GRID,
@@ -11,9 +13,6 @@ from .base import (
     projected_translation_check,
     proximal_normal_witness,
 )
-from .curves import CurveSet, EpigraphSet
-from .lowrank import LowRankSet, PsdLowRankSet
-from .sparse import NonnegSparseSet, SparseSet
 
 __all__ = [
     "DEFAULT_TOL",
@@ -31,6 +30,37 @@ __all__ = [
     "in_proximal_normal_witness",
     "projected_translation_check",
 ]
+
+# Spec kind -> (module, class, integer fields of the spec in the order the
+# class takes them). A set module is imported on the first use of one of its
+# classes or spec kinds, so a command compiles only the set code it runs. A
+# kind without fields takes no parameters.
+_KINDS = {
+    "sparse": ("sparse", "SparseSet", ("n", "s")),
+    "nonneg-sparse": ("sparse", "NonnegSparseSet", ("n", "s")),
+    "lowrank": ("lowrank", "LowRankSet", ("m", "n", "r")),
+    "psd": ("lowrank", "PsdLowRankSet", ("n", "r")),
+    "curve": ("curves", "CurveSet", ()),
+    "epigraph": ("curves", "EpigraphSet", ()),
+}
+_CLASS_MODULES = {cls: module for module, cls, _ in _KINDS.values()}
+
+
+def _load(module: str, name: str) -> type:
+    cls = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = cls
+    return cls
+
+
+def __getattr__(name: str):
+    module = _CLASS_MODULES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return _load(module, name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_CLASS_MODULES))
 
 
 def _parse_params(kind: str, text: str, required: tuple[str, ...]) -> dict[str, int]:
@@ -62,22 +92,10 @@ def from_spec(spec: str) -> FeasibleSet:
     """
     kind, _, rest = spec.strip().partition(":")
     kind = kind.strip()
-    if kind == "sparse":
-        p = _parse_params(kind, rest, ("n", "s"))
-        return SparseSet(p["n"], p["s"])
-    if kind == "nonneg-sparse":
-        p = _parse_params(kind, rest, ("n", "s"))
-        return NonnegSparseSet(p["n"], p["s"])
-    if kind == "lowrank":
-        p = _parse_params(kind, rest, ("m", "n", "r"))
-        return LowRankSet(p["m"], p["n"], p["r"])
-    if kind == "psd":
-        p = _parse_params(kind, rest, ("n", "r"))
-        return PsdLowRankSet(p["n"], p["r"])
-    if kind in ("curve", "epigraph"):
-        if rest:
-            raise ValueError(f"set spec {kind!r} takes no parameters, got {rest!r}")
-        return CurveSet() if kind == "curve" else EpigraphSet()
-    raise ValueError(
-        f"unknown set kind {kind!r}; expected one of sparse, nonneg-sparse, lowrank, psd, curve, epigraph"
-    )
+    if kind not in _KINDS:
+        raise ValueError(f"unknown set kind {kind!r}; expected one of {', '.join(_KINDS)}")
+    module, name, fields = _KINDS[kind]
+    if rest and not fields:
+        raise ValueError(f"set spec {kind!r} takes no parameters, got {rest!r}")
+    p = _parse_params(kind, rest, fields)
+    return _load(module, name)(*(p[k] for k in fields))

@@ -433,14 +433,29 @@ def test_epigraph_unit_step_stops_on_exact_projection(capsys):
     assert "termination=stationary-at-tol steps=1 " in stderr
 
 
-def test_import_pulls_in_no_scipy():
+def _modules_after(code):
+    """The scipy and ncpgd.sets.* modules a fresh interpreter holds after code."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-    code = ("import sys, ncpgd.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    code += ("; import sys; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy' or m.startswith('ncpgd.sets.')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_import_pulls_in_no_scipy():
+    for code in ("import ncpgd", "import ncpgd.cli"):
+        assert _modules_after(code) == "['ncpgd.sets.base']"
+
+
+@pytest.mark.parametrize("spec, module", [
+    ("sparse:n=2,s=1", "sparse"), ("nonneg-sparse:n=2,s=1", "sparse"),
+    ("lowrank:m=3,n=2,r=1", "lowrank"), ("psd:n=2,r=1", "lowrank"),
+    ("curve", "curves"), ("epigraph", "curves")])
+def test_a_set_spec_loads_only_its_set_module(spec, module):
+    code = f"import ncpgd.cli; ncpgd.sets.from_spec({spec!r})"
+    assert _modules_after(code) == str(["ncpgd.sets.base", f"ncpgd.sets.{module}"])
 
 
 def test_installed_entry_point_smoke(tmp_path):

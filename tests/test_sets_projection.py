@@ -261,3 +261,10 @@ def test_from_spec_diagnostics():
         from_spec("sparse:n=10,s=three")
     with pytest.raises(ValueError, match="unknown field"):
         from_spec("psd:n=6,r=2,k=1")
+    with pytest.raises(ValueError) as err:
+        from_spec("curve:x=1")
+    assert str(err.value) == "set spec 'curve' takes no parameters, got 'x=1'"
+    with pytest.raises(ValueError) as err:
+        from_spec("ball:r=1")
+    assert str(err.value) == ("unknown set kind 'ball'; expected one of "
+                              "sparse, nonneg-sparse, lowrank, psd, curve, epigraph")

@@ -180,6 +180,21 @@ def test_truth_value_projection_count(v, alpha, projections, monkeypatch):
     assert len(calls) == projections
 
 
+def _count_witness_projections(monkeypatch, calls):
+    """(projections, answer) of each proximal stop test that pgd makes."""
+    per_call = []
+    real = solver.in_proximal_normal_witness
+
+    def counted(*args, **kwargs):
+        before = len(calls)
+        ok = real(*args, **kwargs)
+        per_call.append((len(calls) - before, ok))
+        return ok
+
+    monkeypatch.setattr(solver, "in_proximal_normal_witness", counted)
+    return per_call
+
+
 def test_pgd_proximal_test_costs_two_projections_per_iterate(monkeypatch):
     set_ = LowRankSet(8, 6, 2)
     rng = np.random.default_rng(8602)
@@ -187,20 +202,24 @@ def test_pgd_proximal_test_costs_two_projections_per_iterate(monkeypatch):
     x0 = set_.random_point(rng)
     cfg = SolverConfig(alpha_max=0.3, max_iters=12)
     calls = _count_projections(monkeypatch, set_)
-    per_call = []
-    real = solver.proximal_normal_witness
-
-    def counted(*args, **kwargs):
-        before = len(calls)
-        alpha = real(*args, **kwargs)
-        per_call.append((len(calls) - before, alpha))
-        return alpha
-
-    monkeypatch.setattr(solver, "proximal_normal_witness", counted)
+    per_call = _count_witness_projections(monkeypatch, calls)
     trace = pgd(set_, obj, x0, cfg, stationarity="proximal")
     assert trace.termination is Termination.MAX_ITERS
     assert len(per_call) == len(trace)
-    assert all(alpha is None and count == 2 for count, alpha in per_call)
+    assert all(not ok and count == 2 for count, ok in per_call)
+
+
+def test_pgd_proximal_stop_costs_one_projection_on_the_final_iterate(monkeypatch):
+    # One unit step lands on (1, 0), where v = (0, 0.5) moves x + a*v off the
+    # set only along the zero coordinate: the smallest grid step certifies.
+    set_ = SparseSet(2, 1)
+    obj = least_squares(Point.vector([1.0, 0.5]))
+    calls = _count_projections(monkeypatch, set_)
+    per_call = _count_witness_projections(monkeypatch, calls)
+    trace = pgd(set_, obj, Point.vector([0.0, 1.0]), SolverConfig(), stationarity="proximal")
+    assert trace.termination is Termination.STATIONARY_AT_TOL
+    assert trace.final().data.tolist() == [1.0, 0.0]
+    assert per_call == [(2, False), (1, True)]
 
 
 # -- grid contract --------------------------------------------------------------
