@@ -324,9 +324,6 @@ def _summary_line(name: str, set_: FeasibleSet, obj: Objective, trace: Trace,
 def cmd_solve(args: argparse.Namespace) -> int:
     merged = merge_spec(args)
     set_, obj, x0, cfg = _build_problem(merged)
-    if not set_.contains(x0):
-        print(f"error: x0 is not on {set_!r}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     algorithm = merged.get("algorithm", "pgd")
     if algorithm == "pgd":
         trace = pgd(set_, obj, x0, cfg, stationarity=merged.get("stationarity", "regular"))
@@ -339,10 +336,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
         with open(out, "w", newline="", encoding="utf-8") as fh:
             write_trace_csv(fh, trace, flags)
         _log.info("trace written to %s", out)
-        print(_summary_line(algorithm, set_, obj, trace, classify_tol))
     else:
         write_trace_csv(sys.stdout, trace, flags)
-        print(_summary_line(algorithm, set_, obj, trace, classify_tol), file=sys.stderr)
+    print(_summary_line(algorithm, set_, obj, trace, classify_tol),
+          file=sys.stdout if out else sys.stderr)
     plot_path = merged.get("emit_plot_data")
     if plot_path:
         with open(plot_path, "w", newline="", encoding="utf-8") as fh:
@@ -354,15 +351,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     merged = merge_spec(args)
     set_, obj, x0, cfg = _build_problem(merged)
-    if not set_.contains(x0):
-        print(f"error: x0 is not on {set_!r}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    try:
-        traces = {"pgd": pgd(set_, obj, x0, cfg, stationarity=merged.get("stationarity", "regular")),
-                  "p2gd": p2gd(set_, obj, x0, cfg)}
-    except NotImplementedError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    traces = {"pgd": pgd(set_, obj, x0, cfg, stationarity=merged.get("stationarity", "regular")),
+              "p2gd": p2gd(set_, obj, x0, cfg)}
     classify_tol = 10.0 * cfg.stat_tol
     # One set of targets serves both CSV writers.
     targets = {name: _linesearch_targets(obj, tr) for name, tr in traces.items()}
@@ -394,8 +384,7 @@ def cmd_cones(args: argparse.Namespace) -> int:
     x = parse_point_field(args.x, set_.ambient_shape, "x")
     v = parse_point_field(args.v, set_.ambient_shape, "v")
     if not set_.contains(x):
-        print(f"error: x is not on {set_!r}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        raise InfeasiblePointError(f"x is not on {set_!r}")
     print(f"set: {set_!r}")
     print(f"x: {_fmt_point(x)}  stratum: {set_.stratum_id(x)}")
     print(f"v: {_fmt_point(v)}")
@@ -503,9 +492,7 @@ SUITES = {
 
 def cmd_check(args: argparse.Namespace) -> int:
     if args.suite not in SUITES:
-        print(f"error: unknown suite {args.suite!r}; known: {', '.join(sorted(SUITES))}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise SpecError(f"unknown suite {args.suite!r}; known: {', '.join(sorted(SUITES))}")
     fn, default_trials = SUITES[args.suite]
     trials = args.trials if args.trials is not None else default_trials
     passed, detail = fn(args.seed, trials)
@@ -568,11 +555,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _configure_logging():
     level_name = os.environ.get("NCPGD_LOG", "info").strip().lower()
     levels = {"quiet": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}
-    level = levels.get(level_name)
-    if level is None:
-        level = logging.INFO
-    logging.basicConfig(stream=sys.stderr, level=level,
-                        format="%(levelname)s %(name)s: %(message)s")
+    # basicConfig installs the stderr handler on the first call only, so every
+    # call sets its level on the package logger and on this module's, which
+    # is __main__ under `python -m ncpgd.cli`.
+    logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
+    for logger in (logging.getLogger("ncpgd"), _log):
+        logger.setLevel(levels.get(level_name, logging.INFO))
     if level_name not in levels:
         _log.warning("NCPGD_LOG=%r not in {quiet, info, debug}; using info", level_name)
 
@@ -589,7 +577,7 @@ def main(argv=None) -> int:
     except InfeasiblePointError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (SpecError, ValueError, NotImplementedError, OSError) as err:
+    except (ValueError, NotImplementedError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except BacktrackError as err:

@@ -153,10 +153,17 @@ class CurveSet(_KinkedGraph):
         tau = self._unit_tangent(t)
         return abs(float(np.dot(v.data, tau)))
 
-    def _dist_tangent(self, v: np.ndarray) -> float:
-        up = np.array([0.0, max(v[1], 0.0)])
-        left = np.array([min(v[0], 0.0), 0.0])
-        return min(float(np.linalg.norm(v - up)), float(np.linalg.norm(v - left)))
+    @staticmethod
+    def _kink_tangent(v: np.ndarray) -> tuple[np.ndarray, float]:
+        """A projection of v onto the tangent cone at the kink, and its distance to v.
+
+        The cone is the union of the up and left rays; the nearer of v's
+        projections onto them wins, ties going to the up ray.
+        """
+        up = np.array([0.0, max(float(v[1]), 0.0)])
+        left = np.array([min(float(v[0]), 0.0), 0.0])
+        d_up, d_left = np.linalg.norm(v - up), np.linalg.norm(v - left)
+        return (up if d_up <= d_left else left), min(float(d_up), float(d_left))
 
     def in_general_normal(self, x: Point, v: Point, tol: float | None = None) -> bool:
         t = self._param(x, tol)
@@ -165,18 +172,14 @@ class CurveSet(_KinkedGraph):
             # Union of the regular normal cone and the tangent cone.
             if self.dist_regular_normal(x, v, tol) <= tl:
                 return True
-            return self._dist_tangent(np.asarray(v.data)) <= tl
+            return self._kink_tangent(v.data)[1] <= tl
         return self.dist_regular_normal(x, v, tol) <= tl
 
     def project_tangent(self, x: Point, v: Point, tol: float | None = None) -> Point:
         self._require_shape(v)
         t = self._param(x, tol)
         if abs(t) <= self._tol(tol):
-            up = np.array([0.0, max(float(v.data[1]), 0.0)])
-            left = np.array([min(float(v.data[0]), 0.0), 0.0])
-            if np.linalg.norm(v.data - up) <= np.linalg.norm(v.data - left):
-                return Point._of(up, (2,))
-            return Point._of(left, (2,))
+            return Point._of(self._kink_tangent(v.data)[0], (2,))
         tau = self._unit_tangent(t)
         return Point._of(float(np.dot(v.data, tau)) * tau, (2,))
 

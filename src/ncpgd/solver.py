@@ -226,7 +226,7 @@ def pgd_map(set_: FeasibleSet, obj: Objective, x: Point, mu: float,
 
 def _check_start(set_: FeasibleSet, x0: Point):
     if not set_.contains(x0):
-        raise InfeasiblePointError(f"starting point is not on {set_!r}: {_describe(x0)}")
+        raise InfeasiblePointError(f"x0 is not on {set_!r}: {_describe(x0)}")
 
 
 def pgd(set_: FeasibleSet, obj: Objective, x0: Point, cfg: SolverConfig,
@@ -240,7 +240,8 @@ def pgd(set_: FeasibleSet, obj: Objective, x0: Point, cfg: SolverConfig,
     the gradient is locally Lipschitz). That certificate costs 1 projection
     at an iterate where the smallest grid step certifies and 2 otherwise (see
     in_proximal_normal_witness). Exact cone membership is not numerically
-    decidable, hence the tolerance.
+    decidable, hence the tolerance. Raises InfeasiblePointError when x0 is
+    not on the set.
     """
     if stationarity not in ("regular", "proximal"):
         raise ValueError(f"stationarity must be 'regular' or 'proximal', got {stationarity!r}")
@@ -306,7 +307,7 @@ def p2gd(set_: FeasibleSet, obj: Objective, x0: Point, cfg: SolverConfig) -> Tra
     recorded stationarity measures are regular-normal distances; they are
     reported, not used to stop, because they can vanish along runs whose
     limit is not stationary in that sense. Requires a set with tangent
-    projections.
+    projections. Raises InfeasiblePointError when x0 is not on the set.
     """
     _check_start(set_, x0)
 

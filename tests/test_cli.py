@@ -472,3 +472,21 @@ def test_installed_entry_point_smoke(tmp_path):
                           env=dict(os.environ, NCPGD_LOG="debug"))
     assert proc.returncode == 0
     assert "proximal-member (closed form): true" in proc.stdout
+
+
+def test_every_main_call_applies_its_own_log_level(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    argv = SOLVE_ARGS + ["--out", str(tmp_path / "trace.csv")]
+    code = ("import os, sys\n"
+            "from ncpgd import cli\n"
+            "for level in ('quiet', 'debug', 'quiet'):\n"
+            "    os.environ['NCPGD_LOG'] = level\n"
+            "    print('--', level, file=sys.stderr)\n"
+            f"    assert cli.main({argv!r}) == 0\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    _, quiet, debug, quiet_again = proc.stderr.split("-- ")
+    assert quiet == quiet_again == "quiet\n"
+    assert debug.startswith("debug\nDEBUG ncpgd.solver: iter 1: ")
+    assert debug.endswith(f"INFO ncpgd.cli: trace written to {argv[-1]}\n")

@@ -1,7 +1,7 @@
 """Every CLI error path, byte for byte: stdout, stderr and exit code.
 
 Each case runs `python -m ncpgd.cli` in a fresh process with the default log
-level, in a scratch directory that holds the config files the cases name.
+level, in a scratch directory that holds the config file one case names.
 The golden file pins what a user sees, so a change of wording, stream or exit
 code shows as a diff.
 """
@@ -17,8 +17,6 @@ SRC = Path(__file__).parent.parent / "src"
 SPARSE = ["--set", "sparse:n=2,s=1", "--objective", "least-squares:target=1,0"]
 PSD = ["--set", "psd:n=2,r=1", "--objective", "least-squares:target=1,0,0,0"]
 
-CONFIGS = {"unknown-key.cfg": "x0 = 0,1\nseed = 3\n"}
-
 CASES = [
     ["solve"] + SPARSE + ["--x0", "1,1"],
     ["solve"] + SPARSE + ["--x0", "1,1", "--algorithm", "p2gd"],
@@ -33,8 +31,7 @@ CASES = [
 
 
 def cli_errors_text(workdir: Path) -> str:
-    for name, text in CONFIGS.items():
-        (workdir / name).write_text(text, encoding="utf-8")
+    (workdir / "unknown-key.cfg").write_text("x0 = 0,1\nseed = 3\n", encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     env.pop("NCPGD_LOG", None)
     blocks = []
@@ -46,5 +43,12 @@ def cli_errors_text(workdir: Path) -> str:
     return "".join(blocks)
 
 
+# The solver's start check rejects an infeasible x0 in solve (pgd and p2gd)
+# and compare alike, and its message names the point.
+X0_ERROR = "[stderr]\nerror: x0 is not on sparse:n=2,s=1: Point([1.0, 1.0])\n"
+
+
 def test_cli_error_paths_match_golden_bytes(tmp_path):
-    assert cli_errors_text(tmp_path) == GOLDEN.read_text(encoding="utf-8")
+    text = cli_errors_text(tmp_path)
+    assert text == GOLDEN.read_text(encoding="utf-8")
+    assert text.count(X0_ERROR) == 3

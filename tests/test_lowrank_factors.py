@@ -20,6 +20,7 @@ from ncpgd import (
     detect_apocalypse,
     pgd,
 )
+from ncpgd import cli, solver
 from ncpgd.sets.lowrank import _fix_gauge
 
 TALL_SETS = [LowRankSet(8, 4, 2), LowRankSet(30, 10, 2)]
@@ -155,6 +156,31 @@ def test_one_decomposition_per_projection(set_, name, rng, monkeypatch):
     detect_apocalypse(set_, obj, trace)
     # Only project(mean) for the limit: the measure series is the trace's own.
     assert len(calls) == 1
+
+
+CLI_LOWRANK = ["--set", "lowrank:m=3,n=2,r=1", "--objective", "least-squares:target=1,2,3,4,5,6",
+               "--x0", "1,0,0,0,0,0", "--max-iters", "3"]
+
+
+def test_cli_start_decomposes_a_given_x0_once_per_solver(monkeypatch):
+    calls = _count_calls(monkeypatch, "svd")
+    before_first_step = []
+    pgd_map = solver.pgd_map
+
+    def first_step(*args, **kwargs):
+        if not before_first_step:
+            before_first_step.append(len(calls))
+        return pgd_map(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "pgd_map", first_step)
+    assert cli.main(["solve"] + CLI_LOWRANK) == cli.EXIT_OK
+    # The solver's start check and the stationarity test at x0; the CLI
+    # itself does not test x0 again.
+    assert before_first_step == [2]
+
+    del calls[:]
+    assert cli.main(["compare"] + CLI_LOWRANK) == cli.EXIT_OK
+    assert len(calls) == 12
 
 
 # -- trusting carried factors -------------------------------------------------

@@ -258,7 +258,7 @@ def test_infeasibility_message_of_a_large_point_is_bounded():
         pgd(set_, least_squares(x), x, SolverConfig())
     message = str(err.value)
     assert len(message) < 1000
-    assert message.startswith("starting point is not on lowrank:m=200,n=200,r=5")
+    assert message.startswith("x0 is not on lowrank:m=200,n=200,r=5")
 
 
 def test_infeasibility_message_of_a_small_point_holds_its_repr():
