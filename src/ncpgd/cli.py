@@ -31,7 +31,7 @@ from .solver import (
     pgd,
 )
 
-_log = logging.getLogger(__name__)
+_log = logging.getLogger("ncpgd.cli")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -556,11 +556,9 @@ def _configure_logging():
     level_name = os.environ.get("NCPGD_LOG", "info").strip().lower()
     levels = {"quiet": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}
     # basicConfig installs the stderr handler on the first call only, so every
-    # call sets its level on the package logger and on this module's, which
-    # is __main__ under `python -m ncpgd.cli`.
+    # call sets its level on the package logger.
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
-    for logger in (logging.getLogger("ncpgd"), _log):
-        logger.setLevel(levels.get(level_name, logging.INFO))
+    logging.getLogger("ncpgd").setLevel(levels.get(level_name, logging.INFO))
     if level_name not in levels:
         _log.warning("NCPGD_LOG=%r not in {quiet, info, debug}; using info", level_name)
 

@@ -42,15 +42,22 @@ class Point:
     declared shape, so vectors in R^n and matrices in R^{m x n} share one type
     and matrices automatically carry the Frobenius inner product.
 
-    The private slot ``_factors`` is left unset except on points returned by a
-    low-rank or PSD projection, which store there the thin decomposition they
-    computed, tagged with the set class that made it. It is a pure function
-    of the read-only ``data``, written once before the point is handed out,
-    so the point stays immutable and cone queries at it may reuse the
-    factors. Arithmetic results and user-built points carry none.
+    Two private slots hold decompositions for the matrix sets, each tagged
+    with the set class that wrote it, computed from the read-only ``data``
+    alone and written at most once, so the point stays immutable in every
+    observable way:
+
+    - ``_factors`` is set only on points returned by a low-rank or PSD
+      projection, before the point is handed out. It holds the kept factors
+      the projection computed, and cone queries at the point trust them.
+      Arithmetic results and user-built points carry none.
+    - ``_memo`` is set on any point by the first low-rank or PSD query that
+      decomposes it: every singular value or eigenvalue and the leading
+      factors. Later queries at the point read it instead of decomposing
+      again, and it lives as long as the point.
     """
 
-    __slots__ = ("data", "shape", "_factors")
+    __slots__ = ("data", "shape", "_factors", "_memo")
 
     def __init__(self, data, shape: tuple[int, ...] | None = None):
         # np.array always copies, so the point never aliases the caller's data.

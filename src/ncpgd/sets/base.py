@@ -25,8 +25,10 @@ class FeasibleSet(ABC):
     metric projection, membership testing, stratum identification, and
     closed-form distance/membership queries against the tangent, regular
     normal, proximal normal, and general normal cones where those forms are
-    known. Set objects are immutable and all queries are pure, so one object
-    can serve any number of concurrent solver runs.
+    known. Set objects are immutable and a query's answer depends on its
+    arguments alone, so one object can serve any number of concurrent solver
+    runs. The matrix sets keep a point's decomposition on that point (see
+    ``Point``), which changes how fast later queries answer, never what.
     """
 
     def __init__(self, ambient_shape: tuple[int, ...], tol: float = DEFAULT_TOL):

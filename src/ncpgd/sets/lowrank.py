@@ -1,9 +1,21 @@
 """Bounded-rank matrix sets.
 
-Both projections compute one thin decomposition and leave its kept factors
-on the point they return (see ``Point``), so the stratum and cone queries at
-a projected iterate cost a few O(mnr) products instead of a fresh SVD or
-eigendecomposition.
+Each set decomposes a point at most once (see ``Point``). The first query
+that needs the thin SVD of x (``LowRankSet``) or the eigendecomposition of
+its symmetric part (``PsdLowRankSet``) keeps every singular value or
+eigenvalue, and the singular vectors or eigenvectors of the r + 1 largest, on
+x as its memo, and every later ``project``, ``contains``, stratum or cone
+query at x reads them. The memo lives as long as x. Two queries decompose again: one by a set of larger rank
+than the memo's, which holds too few leading factors for it, and
+``PsdLowRankSet.sample_regular_normal``, which needs a basis of the kernel.
+
+Both projections also leave their kept factors on the point they return, so
+the stratum and cone queries at a projected iterate cost a few O(mnr)
+products and no decomposition at all. These carried factors are trusted: a
+projected point is on the set when its discarded singular values or
+eigenvalues are small. A memo is the point's own decomposition instead, so
+``contains`` at a point without carried factors still tests
+``norm(x - project(x)) <= tol``, with the projection rebuilt from the memo.
 """
 
 from __future__ import annotations
@@ -27,17 +39,19 @@ def _sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-def _carried(x: Point, kind: type):
-    """Factors that kind's projection left on x, or None."""
-    f = getattr(x, "_factors", None)
+def _kept(x: Point, slot: str, kind: type):
+    """The arrays kind left in the slot ``_factors`` or ``_memo`` of x, or None."""
+    f = getattr(x, slot, None)
     return f[1:] if f is not None and f[0] is kind else None
 
 
-def _attach(y: Point, kind: type, *factors: np.ndarray) -> Point:
-    for a in factors:
-        a.flags.writeable = False
-    object.__setattr__(y, "_factors", (kind, *factors))
-    return y
+def _keep(x: Point, slot: str, kind: type, *arrays: np.ndarray) -> Point:
+    """Leave arrays, made read-only, in the slot of x unless it is taken; return x."""
+    if getattr(x, slot, None) is None:
+        for a in arrays:
+            a.flags.writeable = False
+        object.__setattr__(x, slot, (kind, *arrays))
+    return x
 
 
 def _ortho_block(W: np.ndarray, U: np.ndarray, Vt: np.ndarray) -> np.ndarray:
@@ -69,15 +83,29 @@ class LowRankSet(FeasibleSet):
     def stratum_ids(self):
         return tuple(range(self.r + 1))
 
+    def _svd(self, x: Point):
+        """Every singular value of x and more than r of its leading singular vector pairs.
+
+        Read from the memo of x; the first call at x computes the thin SVD
+        and leaves this memo.
+        """
+        f = _kept(x, "_memo", LowRankSet)
+        if f is not None and f[0].shape[1] > self.r:
+            return f
+        U, s, Vt = np.linalg.svd(x.as_array(), full_matrices=False)
+        # r + 1 pairs, so that U[:, :k] (k <= r) is a strided view, as it is of
+        # the whole thin U: numpy's products then take the same kernels and give
+        # the same bits. Copies, not views, so that x keeps no whole U alive.
+        f = (U[:, :self.r + 1].copy(), s, Vt[:self.r + 1].copy())
+        _keep(x, "_memo", LowRankSet, *f)
+        return f
+
     def _factors(self, x: Point, tol: float | None):
         """Leading singular vectors U[:, :k], Vt[:k] of x and its numerical rank k."""
         self._require_shape(x)
         t = self._tol(tol)
-        f = _carried(x, LowRankSet)
-        if f is None:
-            U, s, Vt = np.linalg.svd(x.as_array(), full_matrices=False)
-        else:
-            U, s, Vt = f
+        f = _kept(x, "_factors", LowRankSet)
+        U, s, Vt = self._svd(x) if f is None else f
         k = int(np.count_nonzero(s > t))
         if k > self.r:
             self._infeasible(x, f"numerical rank {k} exceeds {self.r}")
@@ -85,16 +113,16 @@ class LowRankSet(FeasibleSet):
 
     def project(self, x: Point) -> Point:
         self._require_shape(x)
-        U, s, Vt = np.linalg.svd(x.as_array(), full_matrices=False)
-        # Copies, not views: a view would keep the whole U and Vt alive for as
-        # long as the returned point lives.
-        U, s, Vt = U[:, :self.r].copy(), s[:self.r].copy(), Vt[:self.r].copy()
+        U, s, Vt = self._svd(x)
+        r = self.r
+        U, s, Vt = U[:, :r].copy(), s[:r].copy(), Vt[:r].copy()
         y = Point._of(((U * s) @ Vt).reshape(-1), (self.m, self.n))
-        return _attach(y, LowRankSet, U, s, Vt)
+        return _keep(y, "_factors", LowRankSet, U, s, Vt)
 
     def contains(self, x: Point, tol: float | None = None) -> bool:
-        f = _carried(x, LowRankSet)
+        f = _kept(x, "_factors", LowRankSet)
         if f is None:
+            # norm(x - project(x)) <= tol, with the projection rebuilt from the memo.
             return super().contains(x, tol)
         self._require_shape(x)
         # The distance to the set is the norm of the singular values beyond r.
@@ -179,17 +207,36 @@ class PsdLowRankSet(FeasibleSet):
     def stratum_ids(self):
         return tuple(range(self.r + 1))
 
+    def _eigh(self, x: Point, full: bool = False):
+        """Every eigenvalue of the symmetric part of x, ascending, and eigenvectors.
+
+        The eigenvectors are those of more than r of the largest eigenvalues,
+        read from the memo of x; the first call at x computes the
+        decomposition and leaves this memo. ``full=True`` always decomposes
+        and returns all n eigenvectors, for callers that need a basis of the
+        kernel.
+        """
+        f = None if full else _kept(x, "_memo", PsdLowRankSet)
+        if f is not None and f[1].shape[1] > self.r:
+            return f
+        w, Q = np.linalg.eigh(_sym(x.as_array()))
+        # r + 1 vectors, copied, for the reasons given in LowRankSet._svd.
+        lead = Q[:, self.n - self.r - 1:].copy()
+        _keep(x, "_memo", PsdLowRankSet, w, lead)
+        return (w, Q) if full else (w, lead)
+
     def project(self, x: Point) -> Point:
         self._require_shape(x)
-        w, Q = np.linalg.eigh(_sym(x.as_array()))
+        w, Q = self._eigh(x)
         lam = np.maximum(w[self.n - self.r:], 0.0)
-        Q = Q[:, self.n - self.r:].copy()
+        Q = Q[:, Q.shape[1] - self.r:].copy()
         y = Point._of(((Q * lam) @ Q.T).reshape(-1), (self.n, self.n))
-        return _attach(y, PsdLowRankSet, lam, Q)
+        return _keep(y, "_factors", PsdLowRankSet, lam, Q)
 
     def contains(self, x: Point, tol: float | None = None) -> bool:
-        f = _carried(x, PsdLowRankSet)
+        f = _kept(x, "_factors", PsdLowRankSet)
         if f is None:
+            # norm(x - project(x)) <= tol, with the projection rebuilt from the memo.
             return super().contains(x, tol)
         self._require_shape(x)
         # x is PSD with the ascending eigenvalues lam; its distance to the
@@ -198,21 +245,22 @@ class PsdLowRankSet(FeasibleSet):
         return float(np.linalg.norm(lam[:max(lam.size - self.r, 0)])) <= self._tol(tol)
 
     def _eig(self, x: Point, tol: float | None, full: bool = False):
-        """Ascending eigenpairs of the feasible point x and its numerical rank k.
+        """Ascending eigenvalues of the feasible point x, eigenvectors, and its numerical rank k.
 
-        A point made by this set's projection yields its r kept pairs, which
-        span its range; ``full=True`` always decomposes, for callers that need
-        a basis of the kernel.
+        The last k eigenvectors span the range of x. A point made by this
+        set's projection yields its r kept pairs; any other point yields its
+        memo (see ``_eigh``). ``full=True`` always decomposes and returns all
+        n pairs, for callers that need a basis of the kernel.
         """
         self._require_shape(x)
         t = self._tol(tol)
-        f = None if full else _carried(x, PsdLowRankSet)
+        f = None if full else _kept(x, "_factors", PsdLowRankSet)
         if f is None:
             M = x.as_array()
             skew = 0.5 * (M - M.T)
             if np.linalg.norm(skew) > t * max(1.0, float(np.linalg.norm(M))):
                 self._infeasible(x, "not symmetric")
-            w, Q = np.linalg.eigh(_sym(M))
+            w, Q = self._eigh(x, full)
             if w[0] < -t:
                 self._infeasible(x, f"negative eigenvalue {w[0]:.3e}")
         else:

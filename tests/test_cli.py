@@ -474,6 +474,16 @@ def test_installed_entry_point_smoke(tmp_path):
     assert "proximal-member (closed form): true" in proc.stdout
 
 
+def test_python_m_logs_under_the_package_logger_name(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("NCPGD_LOG", None)
+    proc = subprocess.run([sys.executable, "-m", "ncpgd.cli"] + SOLVE_ARGS + ["--out", "t.csv"],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "INFO ncpgd.cli: trace written to t.csv\n"
+
+
 def test_every_main_call_applies_its_own_log_level(tmp_path):
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     argv = SOLVE_ARGS + ["--out", str(tmp_path / "trace.csv")]

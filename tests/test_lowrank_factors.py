@@ -18,6 +18,7 @@ from ncpgd import (
     SolverConfig,
     classify_stationarity,
     detect_apocalypse,
+    least_squares,
     pgd,
 )
 from ncpgd import cli, solver
@@ -109,18 +110,6 @@ def test_tall_lowrank_queries_match_dense_oracle(set_, rng):
 # -- decomposition counts -----------------------------------------------------
 
 
-def _count_calls(monkeypatch, name):
-    calls = []
-    real = getattr(np.linalg, name)
-
-    def counted(*args, **kwargs):
-        calls.append(np.shape(args[0]))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, name, counted)
-    return calls
-
-
 def _masked_least_squares(target, mask):
     def ev(x):
         d = mask * (x.as_array() - target)
@@ -134,7 +123,7 @@ def _masked_least_squares(target, mask):
 
 @pytest.mark.parametrize("set_,name", [(LowRankSet(20, 15, 3), "svd"),
                                        (PsdLowRankSet(12, 3), "eigh")], ids=["lowrank", "psd"])
-def test_one_decomposition_per_projection(set_, name, rng, monkeypatch):
+def test_one_decomposition_per_projection(set_, name, rng, decompositions):
     target = set_.random_point(rng, stratum=set_.r).as_array()
     mask = rng.random(set_.ambient_shape) < 0.6
     if isinstance(set_, PsdLowRankSet):
@@ -144,43 +133,63 @@ def test_one_decomposition_per_projection(set_, name, rng, monkeypatch):
     cfg = SolverConfig(alpha_min=1e-4, alpha_max=3.0, rule=MaxRule(0), stat_tol=1e-12,
                        max_iters=15)
 
-    calls = _count_calls(monkeypatch, name)
+    decompositions.clear()
     trace = pgd(set_, obj, x0, cfg)
     projections = len(trace) - 1 + sum(trace.backtrack_counts)
     assert len(trace) > 3
-    # Fixed cost at x0: the start check projects it, and its stationarity test
-    # decomposes it; the tests at projected iterates reuse the projection's factors.
-    assert len(calls) == projections + 2
+    # Fixed cost at x0: the start check projects it, which leaves the memo its
+    # stationarity test reads; the tests at projected iterates reuse the
+    # projection's factors.
+    assert decompositions.of(name) == len(decompositions) == projections + 1
 
-    del calls[:]
+    decompositions.clear()
     detect_apocalypse(set_, obj, trace)
     # Only project(mean) for the limit: the measure series is the trace's own.
-    assert len(calls) == 1
+    assert len(decompositions) == 1
+
+
+@pytest.mark.parametrize("set_,name", [(LowRankSet(20, 15, 3), "svd"),
+                                       (PsdLowRankSet(12, 3), "eigh")], ids=["lowrank", "psd"])
+def test_a_zero_start_is_decomposed_once(set_, name, rng, decompositions):
+    target = set_.random_point(rng, stratum=set_.r)
+    x0 = Point.zeros(set_.ambient_shape)
+    cfg = SolverConfig(alpha_min=1e-4, alpha_max=0.5, rule=MaxRule(0), stat_tol=1e-12,
+                       max_iters=3)
+    decompositions.clear()
+    first = pgd(set_, least_squares(target), x0, cfg)
+    again = pgd(set_, least_squares(target), x0, cfg)
+    # The first run's start check decomposes x0; both runs' stationarity tests
+    # at x0 and the second run's start check read the memo it left.
+    assert decompositions.of(name, zero=True) == 1
+    assert all(np.array_equal(_bits(a.data), _bits(b.data))
+               for a, b in zip(first.iterates, again.iterates, strict=True))
 
 
 CLI_LOWRANK = ["--set", "lowrank:m=3,n=2,r=1", "--objective", "least-squares:target=1,2,3,4,5,6",
                "--x0", "1,0,0,0,0,0", "--max-iters", "3"]
 
 
-def test_cli_start_decomposes_a_given_x0_once_per_solver(monkeypatch):
-    calls = _count_calls(monkeypatch, "svd")
+def test_cli_start_decomposes_a_given_x0_once_per_solver(monkeypatch, decompositions):
     before_first_step = []
     pgd_map = solver.pgd_map
 
     def first_step(*args, **kwargs):
         if not before_first_step:
-            before_first_step.append(len(calls))
+            before_first_step.append(len(decompositions))
         return pgd_map(*args, **kwargs)
 
     monkeypatch.setattr(solver, "pgd_map", first_step)
+    decompositions.clear()
     assert cli.main(["solve"] + CLI_LOWRANK) == cli.EXIT_OK
-    # The solver's start check and the stationarity test at x0; the CLI
-    # itself does not test x0 again.
-    assert before_first_step == [2]
+    # The solver's start check; the stationarity test at x0 reads the memo it
+    # left, and the CLI itself does not test x0 again.
+    assert before_first_step == [1]
 
-    del calls[:]
+    decompositions.clear()
     assert cli.main(["compare"] + CLI_LOWRANK) == cli.EXIT_OK
-    assert len(calls) == 12
+    # Both solvers start from one x0 point, which only the first start check
+    # decomposes (12 SVDs when every query at x0 decomposed it).
+    assert len(decompositions) == decompositions.of("svd") == 8
 
 
 # -- trusting carried factors -------------------------------------------------
@@ -294,21 +303,21 @@ def test_projection_is_independent_of_the_sign_convention(rng):
 @pytest.mark.parametrize("set_,name", [(LowRankSet(20, 15, 3), "svd"),
                                        (PsdLowRankSet(12, 3), "eigh")], ids=["lowrank", "psd"])
 def test_classify_at_a_projected_point_skips_the_membership_decomposition(set_, name, rng,
-                                                                          monkeypatch):
+                                                                          decompositions):
     y = set_.project(Point(rng.standard_normal(set_.ambient_shape)))
     v = -Point(rng.standard_normal(set_.ambient_shape))
     obj = Objective(lambda x: 0.0, lambda x: v, name="fixed-gradient")
     tol = 1e-7
-    calls = _count_calls(monkeypatch, name)
+    decompositions.clear()
     assert set_.contains(y, tol)
-    assert calls == []
+    assert decompositions == []
     set_.in_general_normal(y, -v, tol)
-    general = len(calls)
-    del calls[:]
+    general = len(decompositions)
+    decompositions.clear()
     classify_stationarity(set_, obj, y, tol)
     # Only the general-normal test may decompose: the membership test and the
     # distance reuse the projection's factors, and no witness is searched.
-    assert len(calls) == general
+    assert len(decompositions) == general
 
 
 @pytest.mark.parametrize("set_,smaller", [(LowRankSet(6, 6, 2), LowRankSet(6, 6, 1)),
