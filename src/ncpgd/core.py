@@ -24,15 +24,12 @@ class ShapeError(ValueError):
 
 
 def _finite(flat: np.ndarray) -> bool:
-    """Whether every entry of a float array is finite, with one reduction in the common case.
+    """Whether every entry of a float array is finite.
 
-    A float sum is non-finite whenever some term is (inf + x = inf,
-    inf - inf = nan, nan propagates), so a finite sum proves a finite array.
-    A non-finite sum can also come from finite terms that overflow, such as
-    [1e308, 1e308]; the elementwise test then decides, after numpy has
-    warned about the overflow of the sum.
+    An elementwise test, so it raises no numpy warning: a test on the sum
+    would overflow on finite input such as [1e308, 1e308].
     """
-    return math.isfinite(np.add.reduce(flat)) or bool(np.isfinite(flat).all())
+    return bool(np.isfinite(flat).all())
 
 
 class Point:
@@ -55,6 +52,18 @@ class Point:
       decomposes it: every singular value or eigenvalue and the leading
       factors. Later queries at the point read it instead of decomposing
       again, and it lives as long as the point.
+
+    Every point has finite coordinates. ``Point(...)`` tests its input, and
+    so does ``Point._of`` for the points the package computes (arithmetic,
+    trial points, the matrix and curve projections), since a sum, difference
+    or product of finite values can overflow. The callers that pass
+    ``finite=True`` and skip the test build a point only from entries of
+    points that are already finite:
+
+    - ``-p`` (``__neg__``): negation is exact;
+    - ``SparseSet.project`` and ``NonnegSparseSet.project``: entries of x,
+      clamped at 0 on the nonnegative set, and zeros;
+    - their ``project_tangent``: entries of v, clamped or zeroed likewise.
     """
 
     __slots__ = ("data", "shape", "_factors", "_memo")
@@ -78,16 +87,17 @@ class Point:
         object.__setattr__(self, "shape", shape)
 
     @classmethod
-    def _of(cls, flat: np.ndarray, shape: tuple[int, ...]) -> "Point":
+    def _of(cls, flat: np.ndarray, shape: tuple[int, ...], finite: bool = False) -> "Point":
         """Point over a freshly computed flat float64 array of known shape.
 
         The unchecked path for results computed inside the package: the
         caller guarantees that ``flat`` is a new contiguous 1-D float64
         array that nothing else references and that ``shape`` is a valid
         shape of its size. Only finiteness is checked, so overflow still
-        raises ``ValueError`` as in the constructor.
+        raises ``ValueError`` as in the constructor. ``finite=True`` skips
+        that test too, for the callers listed in the class docstring.
         """
-        if not _finite(flat):
+        if not (finite or _finite(flat)):
             raise ValueError("point has non-finite coordinates")
         flat.flags.writeable = False
         p = object.__new__(cls)
@@ -134,7 +144,7 @@ class Point:
         return Point._of(self.data - other.data, self.shape)
 
     def __neg__(self) -> "Point":
-        return Point._of(-self.data, self.shape)
+        return Point._of(-self.data, self.shape, finite=True)
 
     def __mul__(self, scalar) -> "Point":
         return Point._of(self.data * float(scalar), self.shape)

@@ -11,9 +11,23 @@ from .base import DEFAULT_TOL, FeasibleSet
 
 
 def _top_indices(magnitudes: np.ndarray, k: int) -> np.ndarray:
-    # Stable sort on descending magnitude: ties go to the smallest index.
-    order = np.argsort(-magnitudes, kind="stable")
-    return order[:k]
+    """Indices of the k largest magnitudes, ascending; ties go to the smallest index.
+
+    The same index set as ``np.argsort(-magnitudes, kind="stable")[:k]``, in
+    O(n) rather than O(n log n): a partition gives the k-th largest value t,
+    every index above t is kept, and the smallest indices equal to t fill the
+    remaining places. Zeros, -0.0 and project_tangent's -inf mask are ordinary
+    values here. Callers assign ``out[keep] = ...``, which does not depend on
+    the order of the indices.
+    """
+    n = magnitudes.size
+    part = magnitudes.copy()
+    part.partition(n - k)
+    t = part[n - k]
+    keep = magnitudes > t
+    ties = (magnitudes == t).nonzero()[0]
+    keep[ties[:k - np.count_nonzero(keep)]] = True
+    return keep.nonzero()[0]
 
 
 class _Sparsity(FeasibleSet):
@@ -79,7 +93,8 @@ class _Sparsity(FeasibleSet):
         keep = _top_indices(np.abs(y), self.s)
         out = np.zeros(self.n)
         out[keep] = y[keep]
-        return Point._of(out, (self.n,))
+        # Entries of x (clamped at 0 on the nonnegative set) or zeros: finite because x is.
+        return Point._of(out, (self.n,), finite=True)
 
     def stratum_id(self, x: Point, tol: float | None = None) -> int:
         return int(self._support(x, tol).size)
@@ -105,7 +120,8 @@ class _Sparsity(FeasibleSet):
             mag[support] = -np.inf
             keep = _top_indices(mag, free)
             out[keep] = w[keep]
-        return Point._of(out, (self.n,))
+        # Entries of v, clamped or zeroed: finite because v is.
+        return Point._of(out, (self.n,), finite=True)
 
     def random_point(self, rng: np.random.Generator, stratum: int | None = None) -> Point:
         k = self._pick_stratum(rng, stratum)
@@ -131,7 +147,9 @@ class SparseSet(_Sparsity):
     """Vectors of R^n with at most s nonzero entries (0 < s < n).
 
     Strata are indexed by the number of nonzero entries. Projection keeps the
-    s largest-magnitude entries, ties broken by smallest index.
+    s largest-magnitude entries, ties broken by smallest index, as a stable
+    sort on descending magnitude would; an O(n) partition finds them (see
+    _top_indices).
     """
 
     _kind = "sparse"
@@ -150,7 +168,8 @@ class SparseSet(_Sparsity):
 class NonnegSparseSet(_Sparsity):
     """Nonnegative vectors of R^n with at most s nonzero entries.
 
-    Projection clamps negatives to zero, then keeps the s largest entries.
+    Projection clamps negatives to zero, then keeps the s largest entries,
+    ties broken by smallest index as in SparseSet.
     """
 
     _kind = "nonneg-sparse"

@@ -205,15 +205,16 @@ def _line_search(set_: FeasibleSet, obj: Objective, x: Point, g: Point, d: np.nd
 
 
 def pgd_map(set_: FeasibleSet, obj: Objective, x: Point, mu: float,
-            cfg: SolverConfig, *, fx: float | None = None, g: Point | None = None) -> StepResult:
+            cfg: SolverConfig, *, fx: float | None = None, g: Point | None = None,
+            v: Point | None = None) -> StepResult:
     """One backtracking projected line search along the negative gradient.
 
     Starting from the configured initial step, projects x - alpha*grad(x)
     onto the set and shrinks alpha by beta until the Armijo condition
     f(y) <= mu + c * <grad(x), y - x> holds. Requires x feasible and
     mu >= f(x); raises BacktrackError past the backtracking budget.
-    ``fx`` and ``g`` are f(x) and grad(x) when the caller already holds
-    them; each is computed when omitted.
+    ``fx``, ``g`` and ``v`` are f(x), grad(x) and -grad(x) when the caller
+    already holds them; each is computed when omitted.
     """
     if fx is None:
         fx = obj.eval(x)
@@ -221,7 +222,8 @@ def pgd_map(set_: FeasibleSet, obj: Objective, x: Point, mu: float,
         raise ValueError(f"Armijo reference mu={mu} below f(x)={fx}")
     if g is None:
         g = obj.grad(x)
-    return _line_search(set_, obj, x, g, -g.data, mu, cfg)
+    d = -g.data if v is None else v.data
+    return _line_search(set_, obj, x, g, d, mu, cfg)
 
 
 def _check_start(set_: FeasibleSet, x0: Point):
@@ -254,6 +256,7 @@ def pgd(set_: FeasibleSet, obj: Objective, x0: Point, cfg: SolverConfig,
     backtracks = [0]
     stats: list[float] = []
     mu_prev = f_values[0]
+    window = cfg.rule.window if isinstance(cfg.rule, MaxRule) else None
 
     i = 0
     while True:
@@ -267,8 +270,9 @@ def pgd(set_: FeasibleSet, obj: Objective, x0: Point, cfg: SolverConfig,
         else:
             stop = in_proximal_normal_witness(set_, x, v, tol=cfg.stat_tol)
 
-        if isinstance(cfg.rule, MaxRule):
-            mu = mu_update_max(f_values, i, cfg.rule.window)
+        if window is not None:
+            # mu_update_max without its argument checks.
+            mu = max(f_values[max(0, i - window):i + 1])
         else:
             mu = mu_update_average(mu_prev, f_values[i], cfg.rule.weight)
         mu_values.append(mu)
@@ -281,7 +285,7 @@ def pgd(set_: FeasibleSet, obj: Objective, x0: Point, cfg: SolverConfig,
             term = Termination.MAX_ITERS
             break
         try:
-            step = pgd_map(set_, obj, x, mu, cfg, fx=f_values[i], g=g)
+            step = pgd_map(set_, obj, x, mu, cfg, fx=f_values[i], g=g, v=v)
         except BacktrackError as err:
             _log.warning("backtracking stalled at iteration %d: %s", i, err)
             term = Termination.BACKTRACK_FAILURE

@@ -125,6 +125,20 @@ def _hard_threshold(z, s):
     return y
 
 
+def _sparse_tangent(v, support, s):
+    # v on the support, plus the largest magnitudes of v off it up to s
+    # entries; ties go to the smallest index.
+    d = np.zeros(v.size)
+    d[support] = v[support]
+    free = s - support.size
+    if free > 0:
+        mag = np.abs(v)
+        mag[support] = -np.inf
+        keep = np.argsort(-mag, kind="stable")[:free]
+        d[keep] = v[keep]
+    return d
+
+
 def _support(x, tol):
     return np.flatnonzero(np.abs(x) > tol)
 
@@ -184,15 +198,7 @@ def replay_sparse_p2gd(A, b, s, x0, *, alpha, beta, c, stat_tol, max_iters, max_
         x, fx = xs[i], fs[i]
         g = _ls_grad(A, b, x)
         v = -g
-        support = _support(x, tol)
-        d = np.zeros(x.size)
-        d[support] = v[support]
-        free = s - support.size
-        if free > 0:
-            mag = np.abs(v)
-            mag[support] = -np.inf
-            keep = np.argsort(-mag, kind="stable")[:free]
-            d[keep] = v[keep]
+        d = _sparse_tangent(v, _support(x, tol), s)
         stats.append(_regular_distance(x, v, s, tol))
         mus.append(fx)
         if np.linalg.norm(d) <= stat_tol:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,6 +103,16 @@ def test_point_accepts_exactly_the_finite_arrays(coords):
             else:
                 with pytest.raises(ValueError, match="non-finite"):
                     make()
+
+
+def test_finiteness_test_raises_no_numpy_warning():
+    # No np.errstate here: the test itself must not let numpy warn.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for make in (Point, lambda a: Point._of(a, a.shape)):
+            assert make(np.array([1e308, 1e308])).data.tolist() == [1e308, 1e308]
+            with pytest.raises(ValueError, match="non-finite"):
+                make(np.array([1.0, np.inf, -np.inf]))
 
 
 def test_point_is_immutable():

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from ncpgd import (
     AverageRule,
     MaxRule,
+    NonnegSparseSet,
     Objective,
     Point,
     SolverConfig,
@@ -28,7 +29,7 @@ from ncpgd import (
     pgd,
     pgd_map,
 )
-from ncpgd import cli
+from ncpgd import cli, core
 
 from helpers import replay_sparse_p2gd, replay_sparse_pgd
 
@@ -137,6 +138,72 @@ def test_overflowing_arithmetic_still_raises():
         big * 10.0
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
         10.0 * big
+
+
+@pytest.fixture
+def finite_tests(monkeypatch):
+    """A list that grows by one entry per call of core._finite."""
+    calls = []
+    real = core._finite
+
+    def counted(flat):
+        calls.append(flat.size)
+        return real(flat)
+
+    monkeypatch.setattr(core, "_finite", counted)
+    return calls
+
+
+def _compressed_sensing(seed, n=200, s=10, rows=80):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((rows, n)) / math.sqrt(rows)
+    x_true = np.zeros(n)
+    x_true[rng.choice(n, size=s, replace=False)] = rng.standard_normal(s)
+    b = A @ x_true
+    # f works on the coordinates; the gradient is one Point(...) per call.
+    obj = Objective(lambda x: 0.5 * float(np.sum((A @ x.data - b) ** 2)),
+                    lambda x: Point(A.T @ (A @ x.data - b), x.shape), name="compressed-sensing")
+    return SparseSet(n, s), obj
+
+
+@pytest.mark.parametrize("solve", [pgd, p2gd], ids=["pgd", "p2gd"])
+def test_one_finiteness_test_per_trial_point_and_gradient(solve, finite_tests):
+    set_, obj = _compressed_sensing(3)
+    x0 = Point.zeros((set_.n,))
+    finite_tests.clear()
+    trace = solve(set_, obj, x0, SolverConfig(alpha_max=1.5, max_iters=40, rule=MaxRule(2)))
+    assert trace.termination is not Termination.BACKTRACK_FAILURE
+    trials = len(trace) - 1 + sum(trace.backtrack_counts)
+    assert sum(trace.backtrack_counts) > 0
+    # One test per trial point x + alpha*d and one per gradient Point(...);
+    # the +1 is the start check, contains(x0), which forms x0 - project(x0).
+    # Projections, tangent projections and -grad are not tested again.
+    assert len(finite_tests) == trials + len(trace) + 1
+
+
+def test_negation_and_sparse_projections_skip_the_finiteness_test(finite_tests):
+    x = Point([0.0, 3.0, 0.0, 0.0, 0.0, 0.0])
+    v = Point([1.0, -2.0, 0.5, 4.0, -7.0, 0.0])
+    finite_tests.clear()
+    outs = [-v]
+    for set_ in (SparseSet(6, 2), NonnegSparseSet(6, 2)):
+        outs += [set_.project(v), set_.project_tangent(x, v)]
+    for out in outs:
+        assert not out.data.flags.writeable
+    assert finite_tests == []
+    x + v
+    assert finite_tests == [6]
+
+
+def test_pgd_map_given_the_negative_gradient_steps_the_same():
+    set_, obj, _ = _sparse_instance(6)
+    x = set_.project(Point(np.random.default_rng(6).standard_normal(12)))
+    cfg = SolverConfig(alpha_max=1.9)
+    g = obj.grad(x)
+    plain = pgd_map(set_, obj, x, obj.eval(x), cfg)
+    given_v = pgd_map(set_, obj, x, obj.eval(x), cfg, g=g, v=-g)
+    assert _bits(given_v.y.data).tolist() == _bits(plain.y.data).tolist()
+    assert given_v[1:] == plain[1:]
 
 
 def test_arithmetic_results_are_read_only_and_carry_no_factors():
