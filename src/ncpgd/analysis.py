@@ -81,21 +81,14 @@ def classify_stationarity(set_: FeasibleSet, obj: Objective, x: Point,
     )
 
 
-def stationarity_measure_series(set_: FeasibleSet, obj: Objective, trace: Trace,
-                                kind: str = "regular") -> list[float]:
-    """Per-iterate distance from -grad to the chosen normal cone along a trace."""
-    if kind not in ("regular", "proximal"):
-        raise ValueError(f"kind must be 'regular' or 'proximal', got {kind!r}")
+def stationarity_measure_series(set_: FeasibleSet, obj: Objective, trace: Trace) -> list[float]:
+    """Per-iterate distance from -grad to the regular normal cone along a trace.
+
+    On every shipped set this is also the proximal normal cone's infimum distance.
+    """
     if len(trace) == 0:
         raise ValueError("trace is empty")
-    out = []
-    for x in trace.iterates:
-        v = -obj.grad(x)
-        if kind == "regular":
-            out.append(set_.dist_regular_normal(x, v))
-        else:
-            out.append(set_.dist_proximal_normal(x, v))
-    return out
+    return [set_.dist_regular_normal(x, -obj.grad(x)) for x in trace.iterates]
 
 
 def detect_apocalypse(set_: FeasibleSet, obj: Objective, trace: Trace,

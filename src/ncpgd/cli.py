@@ -225,21 +225,6 @@ def write_trace_csv(fh, trace: Trace, witness_flags: list[int]):
         writer.writerow(row)
 
 
-def read_trace_csv(path: str) -> dict[str, list]:
-    """Parse an emitted trace back into columns of floats/ints."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        columns: dict[str, list] = {name: [] for name in header}
-        for row in reader:
-            for name, cell in zip(header, row):
-                if name in ("iter", "backtracks", "stat_proximal_witness"):
-                    columns[name].append(int(cell))
-                else:
-                    columns[name].append(float(cell))
-    return columns
-
-
 def _witness_flags(set_: FeasibleSet, obj: Objective, trace: Trace, tol: float) -> list[int]:
     flags = []
     for x in trace.iterates:
@@ -388,8 +373,10 @@ def cmd_cones(args: argparse.Namespace) -> int:
     print(f"set: {set_!r}")
     print(f"x: {_fmt_point(x)}  stratum: {set_.stratum_id(x)}")
     print(f"v: {_fmt_point(v)}")
-    print(f"dist-regular-normal: {_fmt(set_.dist_regular_normal(x, v))}")
-    print(f"dist-proximal-normal (infimum): {_fmt(set_.dist_proximal_normal(x, v))}")
+    # The proximal infimum distance is the regular one on every shipped set.
+    d_regular = _fmt(set_.dist_regular_normal(x, v))
+    print(f"dist-regular-normal: {d_regular}")
+    print(f"dist-proximal-normal (infimum): {d_regular}")
     print(f"proximal-member (closed form): {str(set_.in_proximal_normal(x, v)).lower()}")
     alpha = proximal_normal_witness(set_, x, v)
     witness = f"alpha={_fmt(alpha)}" if alpha is not None else "none"

@@ -180,6 +180,16 @@ def norm(a: Point) -> float:
     return math.sqrt(np.dot(a.data, a.data))
 
 
+def _sq_dist(a: np.ndarray, b: np.ndarray) -> float:
+    """||a - b||^2, bit for bit as ``norm`` squares it, with no Point of a - b."""
+    d = a - b
+    sq = float(np.dot(d, d))
+    # Point's error for an overflowed difference, which only a sum that is not finite can hide.
+    if not math.isfinite(sq) and not _finite(d):
+        raise ValueError("point has non-finite coordinates")
+    return sq
+
+
 class Objective:
     """Objective with exact value and gradient callables.
 
@@ -216,8 +226,8 @@ def least_squares(target: Point) -> Objective:
     """f(x) = 0.5 * ||x - target||^2 with gradient x - target."""
 
     def ev(x: Point) -> float:
-        d = x - target
-        return 0.5 * float(np.dot(d.data, d.data))
+        x._check_same_shape(target)
+        return 0.5 * _sq_dist(x.data, target.data)
 
     def gr(x: Point) -> Point:
         return x - target

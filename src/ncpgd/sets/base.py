@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 
 import numpy as np
 
-from ..core import Point, ShapeError, _describe, inner, norm
+from ..core import Point, ShapeError, _describe, _sq_dist, inner, norm
 
 DEFAULT_TOL = 1e-9
 
@@ -21,21 +22,20 @@ class InfeasiblePointError(ValueError):
 class FeasibleSet(ABC):
     """Closed subset of a Euclidean space with projection and cone queries.
 
-    Every implementation provides an exact (up to the stated tolerance)
-    metric projection, membership testing, stratum identification, and
-    closed-form distance/membership queries against the tangent, regular
-    normal, proximal normal, and general normal cones where those forms are
-    known. Set objects are immutable and a query's answer depends on its
-    arguments alone, so one object can serve any number of concurrent solver
-    runs. The matrix sets keep a point's decomposition on that point (see
+    Every implementation provides an exact (up to the class attribute
+    ``tol``, which every query's tol defaults to) metric projection,
+    membership testing, stratum identification, and closed-form
+    distance/membership queries against the tangent, regular normal, proximal
+    normal, and general normal cones where those forms are known. Set objects
+    are immutable and a query's answer depends on its arguments alone, so one
+    object can serve any number of concurrent solver runs. The matrix sets keep a point's decomposition on that point (see
     ``Point``), which changes how fast later queries answer, never what.
     """
 
-    def __init__(self, ambient_shape: tuple[int, ...], tol: float = DEFAULT_TOL):
+    tol = DEFAULT_TOL
+
+    def __init__(self, ambient_shape: tuple[int, ...]):
         self.ambient_shape = tuple(int(m) for m in ambient_shape)
-        self.tol = float(tol)
-        if self.tol <= 0.0:
-            raise ValueError("tolerance must be positive")
 
     # -- helpers ------------------------------------------------------------
 
@@ -65,7 +65,7 @@ class FeasibleSet(ABC):
 
     def contains(self, x: Point, tol: float | None = None) -> bool:
         self._require_shape(x)
-        return norm(x - self.project(x)) <= self._tol(tol)
+        return math.sqrt(_sq_dist(x.data, self.project(x).data)) <= self._tol(tol)
 
     @abstractmethod
     def stratum_id(self, x: Point, tol: float | None = None) -> int:
@@ -87,6 +87,9 @@ class FeasibleSet(ABC):
         the two cones coincide, or (2-D example sets at their kink) the
         proximal cone is dense in the regular one, so the infimum is
         unchanged. Membership can still differ; see in_proximal_normal.
+
+        Nothing in the package calls it. It stays only because ``SET_METHODS``
+        in ``perfbench/tracer.py`` lists it, until ROADMAP item 1.
         """
         return self.dist_regular_normal(x, v, tol)
 
@@ -114,13 +117,15 @@ class FeasibleSet(ABC):
 
 def _witness_test(set_: FeasibleSet, x: Point, v: Point, alphas, tol: float | None):
     """The validated step grid and the per-step test of the two witness queries."""
-    tol = set_.tol if tol is None else float(tol)
+    tol = set_._tol(tol)
     nv = norm(v)
-    alphas = tuple(float(a) for a in alphas)
-    if not all(a > 0.0 for a in alphas):
-        raise ValueError("witness step lengths must be positive")
-    if any(b >= a for a, b in zip(alphas, alphas[1:])):
-        raise ValueError("witness step lengths must be strictly decreasing")
+    # The default grid is valid by construction; only a caller's grid is checked.
+    if alphas is not WITNESS_ALPHA_GRID:
+        alphas = tuple(float(a) for a in alphas)
+        if not all(a > 0.0 for a in alphas):
+            raise ValueError("witness step lengths must be positive")
+        if any(b >= a for a, b in zip(alphas, alphas[1:])):
+            raise ValueError("witness step lengths must be strictly decreasing")
 
     def certifies(a: float) -> bool:
         if nv == 0.0:

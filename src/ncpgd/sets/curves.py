@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from ..core import Point, norm
-from .base import DEFAULT_TOL, FeasibleSet
+from .base import FeasibleSet
 
 
 def _graph_height(t: float) -> float:
@@ -62,8 +62,8 @@ class _KinkedGraph(FeasibleSet):
     regular normal cone and the same proximal cone inside it.
     """
 
-    def __init__(self, tol: float = DEFAULT_TOL):
-        super().__init__((2,), tol)
+    def __init__(self):
+        super().__init__((2,))
 
     @staticmethod
     def _graph_stratum(t: float, tl: float) -> int:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import Point, norm
-from .base import DEFAULT_TOL, FeasibleSet
+from .base import FeasibleSet
 
 
 def _fix_gauge(Q: np.ndarray) -> np.ndarray:
@@ -67,11 +67,11 @@ class LowRankSet(FeasibleSet):
     singular value decomposition.
     """
 
-    def __init__(self, m: int, n: int, r: int, tol: float = DEFAULT_TOL):
+    def __init__(self, m: int, n: int, r: int):
         m, n, r = int(m), int(n), int(r)
         if not 0 < r < min(m, n):
             raise ValueError(f"need 0 < r < min(m, n), got m={m}, n={n}, r={r}")
-        super().__init__((m, n), tol)
+        super().__init__((m, n))
         self.m = m
         self.n = n
         self.r = r
@@ -192,11 +192,11 @@ class PsdLowRankSet(FeasibleSet):
     rank.
     """
 
-    def __init__(self, n: int, r: int, tol: float = DEFAULT_TOL):
+    def __init__(self, n: int, r: int):
         n, r = int(n), int(r)
         if not 0 < r < n:
             raise ValueError(f"need 0 < r < n, got n={n}, r={r}")
-        super().__init__((n, n), tol)
+        super().__init__((n, n))
         self.n = n
         self.r = r
 

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from ..core import Point, norm
-from .base import DEFAULT_TOL, FeasibleSet
+from .base import FeasibleSet
 
 
 def _top_indices(magnitudes: np.ndarray, k: int) -> np.ndarray:
@@ -40,11 +40,11 @@ class _Sparsity(FeasibleSet):
 
     _kind = ""
 
-    def __init__(self, n: int, s: int, tol: float = DEFAULT_TOL):
+    def __init__(self, n: int, s: int):
         n, s = int(n), int(s)
         if not 0 < s < n:
             raise ValueError(f"need 0 < s < n, got n={n}, s={s}")
-        super().__init__((n,), tol)
+        super().__init__((n,))
         self.n = n
         self.s = s
 

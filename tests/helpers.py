@@ -2,9 +2,10 @@
 
 Everything here is deliberately brute force (support enumeration, dense
 decompositions, grid scans) and never calls back into the code paths it is
-used to check.
+used to check. The module also holds a parser for the CLI's trace CSV.
 """
 
+import csv
 import itertools
 import math
 
@@ -211,3 +212,18 @@ def replay_sparse_p2gd(A, b, s, x0, *, alpha, beta, c, stat_tol, max_iters, max_
         for col, val in zip((xs, fs, alphas, bts), step):
             col.append(val)
         i += 1
+
+
+def read_trace_csv(path: str) -> dict[str, list]:
+    """Parse a trace that `ncpgd solve` wrote back into columns of floats/ints."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        columns: dict[str, list] = {name: [] for name in header}
+        for row in reader:
+            for name, cell in zip(header, row):
+                if name in ("iter", "backtracks", "stat_proximal_witness"):
+                    columns[name].append(int(cell))
+                else:
+                    columns[name].append(float(cell))
+    return columns

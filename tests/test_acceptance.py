@@ -146,7 +146,7 @@ def test_criterion_2_apocalypse_detection():
     cfg = fixed_step_config(0.45, 0.05, max_iters=100, stat_tol=1e-8)
 
     trace_t = p2gd(TWO_AXIS, OBJ, START, cfg)
-    series = stationarity_measure_series(TWO_AXIS, OBJ, trace_t, kind="regular")
+    series = stationarity_measure_series(TWO_AXIS, OBJ, trace_t)
     assert series[-1] < 1e-8
     flag_t = detect_apocalypse(TWO_AXIS, OBJ, trace_t, tol=1e-7)
     assert flag_t.flagged
@@ -154,7 +154,7 @@ def test_criterion_2_apocalypse_detection():
     assert abs(report_t.d_regular - 1.0) <= 1e-9
 
     trace_p = pgd(TWO_AXIS, OBJ, START, cfg)
-    series_p = stationarity_measure_series(TWO_AXIS, OBJ, trace_p, kind="regular")
+    series_p = stationarity_measure_series(TWO_AXIS, OBJ, trace_p)
     assert series_p[-1] < 1e-8
     flag_p = detect_apocalypse(TWO_AXIS, OBJ, trace_p, tol=1e-7)
     assert not flag_p.flagged

@@ -89,14 +89,14 @@ def test_classification_respects_cone_nesting(rng):
 
 def test_pgd_measure_series_decays():
     trace = pgd(TWO_AXIS, OBJ, START, fixed_step_config(0.45, 0.05, max_iters=60))
-    series = stationarity_measure_series(TWO_AXIS, OBJ, trace, kind="regular")
+    series = stationarity_measure_series(TWO_AXIS, OBJ, trace)
     assert series == trace.stat_measures
     assert series[-1] < 1e-8
 
 
 def test_p2gd_measure_series_vanishes_but_limit_measure_does_not():
     trace = p2gd(TWO_AXIS, OBJ, START, fixed_step_config(0.45, 0.05, max_iters=60))
-    series = stationarity_measure_series(TWO_AXIS, OBJ, trace, kind="regular")
+    series = stationarity_measure_series(TWO_AXIS, OBJ, trace)
     assert series[-1] < 1e-8
     for i in range(1, len(series)):
         assert series[i] <= series[i - 1] + 1e-15
@@ -108,9 +108,6 @@ def test_p2gd_measure_series_vanishes_but_limit_measure_does_not():
 def test_single_point_trace_series():
     trace = pgd(TWO_AXIS, OBJ, Point.vector([1.0, 0.0]), fixed_step_config(1.0, 0.4))
     assert stationarity_measure_series(TWO_AXIS, OBJ, trace) == [0.0]
-    assert stationarity_measure_series(TWO_AXIS, OBJ, trace, kind="proximal") == [0.0]
-    with pytest.raises(ValueError):
-        stationarity_measure_series(TWO_AXIS, OBJ, trace, kind="nearest")
 
 
 # -- apocalypse detection -----------------------------------------------------
@@ -162,7 +159,7 @@ def test_pgd_records_regular_measures_under_either_stopping_test():
     cfg = fixed_step_config(0.45, 0.05, max_iters=60)
     for stationarity in ("regular", "proximal"):
         trace = pgd(set_, OBJ, START, cfg, stationarity=stationarity)
-        assert trace.stat_measures == stationarity_measure_series(set_, OBJ, trace, kind="regular")
+        assert trace.stat_measures == stationarity_measure_series(set_, OBJ, trace)
 
 
 def test_unconverged_trace_not_flagged_with_note():

@@ -8,6 +8,8 @@ import pytest
 
 from ncpgd import Objective, SolverConfig, cli
 
+from helpers import read_trace_csv
+
 
 def run_cli(argv, capsys):
     code = cli.main(argv)
@@ -25,7 +27,7 @@ def test_solve_unit_step_trace(tmp_path, capsys):
     out = tmp_path / "trace.csv"
     code, stdout, _ = run_cli(SOLVE_ARGS + ["--out", str(out)], capsys)
     assert code == cli.EXIT_OK
-    cols = cli.read_trace_csv(str(out))
+    cols = read_trace_csv(str(out))
     assert cols["iter"] == [0, 1]
     assert cols["x0"] == [0.0, 1.0]
     assert cols["x1"] == [1.0, 0.0]
@@ -42,7 +44,7 @@ def test_solve_small_step_switches_at_known_index(tmp_path, capsys):
             "--rule", "max:l=0", "--out", str(out)]
     code, stdout, _ = run_cli(args, capsys)
     assert code == cli.EXIT_OK
-    cols = cli.read_trace_csv(str(out))
+    cols = read_trace_csv(str(out))
     i_star = math.floor(math.log(0.45) / math.log(0.55))
     assert i_star == 1
     assert cols["x0"][i_star] == 0.0 and cols["x1"][i_star] == pytest.approx(0.55, abs=1e-12)
@@ -56,7 +58,7 @@ def test_solve_started_at_target_gives_single_row(tmp_path, capsys):
     args[args.index("--x0") + 1] = "1,0"
     code, _, _ = run_cli(args + ["--out", str(out)], capsys)
     assert code == cli.EXIT_OK
-    assert cli.read_trace_csv(str(out))["iter"] == [0]
+    assert read_trace_csv(str(out))["iter"] == [0]
 
 
 def test_solve_writes_csv_to_stdout_without_out(capsys):
@@ -85,7 +87,7 @@ def test_trace_round_trip_full_precision(tmp_path, capsys):
     cfg = SolverConfig(alpha_min=0.45, alpha_max=0.45, beta=0.5, c=0.05, rule=MaxRule(0))
     trace = pgd(SparseSet(2, 1), least_squares(Point.vector([1, 0])),
                 Point.vector([0, 1]), cfg)
-    cols = cli.read_trace_csv(str(out))
+    cols = read_trace_csv(str(out))
     assert len(cols["iter"]) == len(trace)
     for i in range(len(trace)):
         assert cols["f"][i] == trace.f_values[i]
@@ -112,13 +114,13 @@ def test_config_file_with_flag_overrides(tmp_path, capsys):
     out = tmp_path / "trace.csv"
     code, _, _ = run_cli(["solve", "--config", str(cfg), "--out", str(out)], capsys)
     assert code == cli.EXIT_OK
-    assert cli.read_trace_csv(str(out))["iter"] == [0, 1]
+    assert read_trace_csv(str(out))["iter"] == [0, 1]
     # Flag overrides the file: smaller step means a longer trace.
     out2 = tmp_path / "trace2.csv"
     code, _, _ = run_cli(["solve", "--config", str(cfg), "--alpha-min", "0.45",
                           "--alpha-max", "0.45", "--c", "0.05", "--out", str(out2)], capsys)
     assert code == cli.EXIT_OK
-    assert len(cli.read_trace_csv(str(out2))["iter"]) > 2
+    assert len(read_trace_csv(str(out2))["iter"]) > 2
 
 
 def _config_from(argv):
@@ -303,7 +305,7 @@ def test_solve_matrix_target(tmp_path, capsys):
             "--c", "0.1", "--out", str(out)]
     code, stdout, _ = run_cli(args, capsys)
     assert code == cli.EXIT_OK
-    cols = cli.read_trace_csv(str(out))
+    cols = read_trace_csv(str(out))
     assert len(cols["iter"]) == 2
     assert cols["x0"][-1] == pytest.approx(2.0, abs=1e-9)
     assert cols["x3"][-1] == pytest.approx(0.0, abs=1e-9)
@@ -320,7 +322,7 @@ def test_solve_tall_lowrank(tmp_path, capsys):
     code, stdout, _ = run_cli(args, capsys)
     assert code == cli.EXIT_OK
     assert "classification=P-stationary" in stdout
-    assert len(cli.read_trace_csv(str(out))["iter"]) == 2
+    assert len(read_trace_csv(str(out))["iter"]) == 2
 
 
 def test_solve_p2gd_on_unsupported_set_is_usage_error(capsys):

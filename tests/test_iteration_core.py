@@ -20,6 +20,7 @@ from ncpgd import (
     NonnegSparseSet,
     Objective,
     Point,
+    ShapeError,
     SolverConfig,
     SparseSet,
     Termination,
@@ -30,6 +31,7 @@ from ncpgd import (
     pgd_map,
 )
 from ncpgd import cli, core
+from ncpgd.sets import from_spec
 
 from helpers import replay_sparse_p2gd, replay_sparse_pgd
 
@@ -140,6 +142,28 @@ def test_overflowing_arithmetic_still_raises():
         10.0 * big
 
 
+class _MirrorProjection(SparseSet):
+    """A stub whose "projection" mirrors the first coordinate, so x - project(x) can overflow."""
+
+    def project(self, x):
+        return Point([-x.data[0], 0.0])
+
+
+def test_overflowing_differences_in_f_and_contains_still_raise():
+    big, zero = Point([1e308, 0.0]), Point([0.0, 0.0])
+    obj = least_squares(Point([-1e308, 0.0]))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+        obj.eval(big)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+        _MirrorProjection(2, 1).contains(big)
+    # A finite difference whose square overflows is an infinite f or distance.
+    with np.errstate(over="ignore"):
+        assert least_squares(zero).eval(Point([1e200, 0.0])) == math.inf
+        assert not _MirrorProjection(2, 1).contains(Point([1e200, 0.0]))
+    with pytest.raises(ShapeError):
+        obj.eval(Point([1.0]))
+
+
 @pytest.fixture
 def finite_tests(monkeypatch):
     """A list that grows by one entry per call of core._finite."""
@@ -175,10 +199,23 @@ def test_one_finiteness_test_per_trial_point_and_gradient(solve, finite_tests):
     assert trace.termination is not Termination.BACKTRACK_FAILURE
     trials = len(trace) - 1 + sum(trace.backtrack_counts)
     assert sum(trace.backtrack_counts) > 0
-    # One test per trial point x + alpha*d and one per gradient Point(...);
-    # the +1 is the start check, contains(x0), which forms x0 - project(x0).
-    # Projections, tangent projections and -grad are not tested again.
-    assert len(finite_tests) == trials + len(trace) + 1
+    # One test per trial point x + alpha*d and one per gradient Point(...).
+    # The start check, contains(x0), forms no Point of x0 - project(x0), and
+    # projections, tangent projections and -grad are not tested again.
+    assert len(finite_tests) == trials + len(trace)
+
+
+def test_least_squares_values_and_the_start_check_test_no_finiteness(finite_tests):
+    set_ = from_spec("sparse:n=200,s=10")
+    obj = least_squares(Point(np.random.default_rng(8).standard_normal(200)))
+    x0 = Point.zeros((200,))
+    finite_tests.clear()
+    trace = pgd(set_, obj, x0, SolverConfig(alpha_max=1.9, max_iters=25))
+    trials = len(trace) - 1 + sum(trace.backtrack_counts)
+    assert trials > 1
+    # f works on the arrays and contains(x0) forms no Point, so only the trial
+    # points and the gradients x - target are tested.
+    assert len(finite_tests) == trials + len(trace)
 
 
 def test_negation_and_sparse_projections_skip_the_finiteness_test(finite_tests):

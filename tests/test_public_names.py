@@ -1,6 +1,7 @@
 """The public names: set classes that load on first use, and the result records."""
 
 import importlib
+import inspect
 
 import pytest
 
@@ -28,6 +29,15 @@ def test_set_classes_are_the_ones_their_modules_define(name):
     defined = getattr(importlib.import_module(f"ncpgd.sets.{SET_MODULES[name]}"), name)
     assert getattr(ncpgd, name) is defined
     assert getattr(ncpgd.sets, name) is defined
+
+
+@pytest.mark.parametrize("kind", sorted(ncpgd.sets._KINDS))
+def test_set_constructors_take_exactly_their_spec_fields(kind):
+    # A constructor parameter without a spec field would be a knob that no
+    # spec, config file or command line can reach.
+    _, name, fields = ncpgd.sets._KINDS[kind]
+    params = inspect.signature(getattr(ncpgd.sets, name)).parameters
+    assert tuple(params) == fields
 
 
 @pytest.mark.parametrize("module", [ncpgd, ncpgd.sets], ids=lambda m: m.__name__)
