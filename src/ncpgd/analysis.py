@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import Objective, Point, norm
+from .core import Objective, Point, _sq_dist, norm
 # proximal_normal_witness is not called here, since the label comes from the
 # closed-form in_proximal_normal; the name stays bound because the benchmark
 # tracer patches analysis.proximal_normal_witness.
@@ -105,7 +106,8 @@ def detect_apocalypse(set_: FeasibleSet, obj: Objective, trace: Trace,
     diameter = 0.0
     for i in range(len(tail)):
         for j in range(i + 1, len(tail)):
-            diameter = max(diameter, norm(tail[i] - tail[j]))
+            # norm(tail[i] - tail[j]) bit for bit, overflow error included, without the Point.
+            diameter = max(diameter, math.sqrt(_sq_dist(tail[i].data, tail[j].data)))
     mean = Point(np.mean([p.data for p in tail], axis=0), tail[0].shape)
     limit = set_.project(mean)
     series = list(trace.stat_measures)

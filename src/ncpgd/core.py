@@ -27,9 +27,10 @@ def _finite(flat: np.ndarray) -> bool:
     """Whether every entry of a float array is finite.
 
     An elementwise test, so it raises no numpy warning: a test on the sum
-    would overflow on finite input such as [1e308, 1e308].
+    would overflow on finite input such as [1e308, 1e308]. The ufunc
+    reduction is ``ndarray.all`` without its Python-level wrapper.
     """
-    return bool(np.isfinite(flat).all())
+    return bool(np.logical_and.reduce(np.isfinite(flat)))
 
 
 class Point:
@@ -64,6 +65,10 @@ class Point:
     - ``SparseSet.project`` and ``NonnegSparseSet.project``: entries of x,
       clamped at 0 on the nonnegative set, and zeros;
     - their ``project_tangent``: entries of v, clamped or zeroed likewise.
+
+    ``__init__`` and ``_of`` write ``data`` and ``shape`` through their slot
+    descriptors, ``_set_data`` and ``_set_shape``, because ``__setattr__``
+    refuses every write.
     """
 
     __slots__ = ("data", "shape", "_factors", "_memo")
@@ -83,8 +88,8 @@ class Point:
         if not _finite(flat):
             raise ValueError("point has non-finite coordinates")
         flat.flags.writeable = False
-        object.__setattr__(self, "data", flat)
-        object.__setattr__(self, "shape", shape)
+        _set_data(self, flat)
+        _set_shape(self, shape)
 
     @classmethod
     def _of(cls, flat: np.ndarray, shape: tuple[int, ...], finite: bool = False) -> "Point":
@@ -101,8 +106,8 @@ class Point:
             raise ValueError("point has non-finite coordinates")
         flat.flags.writeable = False
         p = object.__new__(cls)
-        object.__setattr__(p, "data", flat)
-        object.__setattr__(p, "shape", shape)
+        _set_data(p, flat)
+        _set_shape(p, shape)
         return p
 
     def __setattr__(self, name, value):
@@ -154,6 +159,10 @@ class Point:
     def __repr__(self):
         return f"Point({self.as_array().tolist()!r})"
 
+
+# Bound once: object.__setattr__ would look the slot up by name on every call.
+_set_data = Point.data.__set__
+_set_shape = Point.shape.__set__
 
 # Larger points are summarized in error messages: the full repr of a 200x200
 # matrix runs to about 800,000 characters.

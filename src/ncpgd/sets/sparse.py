@@ -14,16 +14,21 @@ def _top_indices(magnitudes: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest magnitudes, ascending; ties go to the smallest index.
 
     The same index set as ``np.argsort(-magnitudes, kind="stable")[:k]``, in
-    O(n) rather than O(n log n): a partition gives the k-th largest value t,
-    every index above t is kept, and the smallest indices equal to t fill the
-    remaining places. Zeros, -0.0 and project_tangent's -inf mask are ordinary
-    values here. Callers assign ``out[keep] = ...``, which does not depend on
-    the order of the indices.
+    O(n) rather than O(n log n). A partition gives the k-th largest value t.
+    When exactly k entries are >= t (t is unique, or every entry equal to t
+    fits), those are the answer. Otherwise every index above t is kept and
+    the smallest indices equal to t fill the remaining places. Zeros, -0.0
+    and project_tangent's -inf mask are ordinary values here. Callers assign
+    ``out[keep] = ...``, which does not depend on the order of the indices;
+    an index array is faster there than a boolean mask.
     """
     n = magnitudes.size
     part = magnitudes.copy()
     part.partition(n - k)
     t = part[n - k]
+    top = (magnitudes >= t).nonzero()[0]
+    if top.size == k:
+        return top
     keep = magnitudes > t
     ties = (magnitudes == t).nonzero()[0]
     keep[ties[:k - np.count_nonzero(keep)]] = True
@@ -148,8 +153,9 @@ class SparseSet(_Sparsity):
 
     Strata are indexed by the number of nonzero entries. Projection keeps the
     s largest-magnitude entries, ties broken by smallest index, as a stable
-    sort on descending magnitude would; an O(n) partition finds them (see
-    _top_indices).
+    sort on descending magnitude would; an O(n) partition finds them, with
+    a second pass over the entries only when the s-th largest magnitude is
+    tied (see _top_indices).
     """
 
     _kind = "sparse"

@@ -190,12 +190,13 @@ def _line_search(set_: FeasibleSet, obj: Objective, x: Point, g: Point, d: np.nd
     coordinate arrays. Raises BacktrackError past the backtracking budget.
     """
     xd, gd, shape = x.data, g.data, x.shape
+    project, f, c = set_.project, obj.eval, cfg.c
     alpha = cfg.start_alpha()
     backtracks = 0
     while True:
-        y = set_.project(Point._of(xd + alpha * d, shape))
-        lhs = obj.eval(y)
-        rhs = mu + cfg.c * float(np.dot(gd, y.data - xd))
+        y = project(Point._of(xd + alpha * d, shape))
+        lhs = f(y)
+        rhs = mu + c * float(np.dot(gd, y.data - xd))
         if lhs <= rhs:
             return StepResult(y, alpha, backtracks, lhs, rhs)
         if backtracks >= cfg.max_backtracks:
@@ -257,6 +258,7 @@ def pgd(set_: FeasibleSet, obj: Objective, x0: Point, cfg: SolverConfig,
     stats: list[float] = []
     mu_prev = f_values[0]
     window = cfg.rule.window if isinstance(cfg.rule, MaxRule) else None
+    debug = _log.isEnabledFor(logging.DEBUG)
 
     i = 0
     while True:
@@ -294,8 +296,9 @@ def pgd(set_: FeasibleSet, obj: Objective, x0: Point, cfg: SolverConfig,
         f_values.append(step.armijo_lhs)
         alphas.append(step.alpha_accepted)
         backtracks.append(step.backtracks)
-        _log.debug("iter %d: f=%.6e alpha=%.3e backtracks=%d stat=%.3e",
-                   i + 1, step.armijo_lhs, step.alpha_accepted, step.backtracks, stat)
+        if debug:
+            _log.debug("iter %d: f=%.6e alpha=%.3e backtracks=%d stat=%.3e",
+                       i + 1, step.armijo_lhs, step.alpha_accepted, step.backtracks, stat)
         i += 1
 
     return Trace(iterates, f_values, mu_values, alphas, backtracks, stats, term)

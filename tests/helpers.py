@@ -101,12 +101,13 @@ def witness_scan(set_, x, v, alphas, tol=None):
     return None
 
 
-# -- plain-numpy replays of the solvers on the sparse set ----------------------
+# -- plain-numpy replays of the solvers on the sparse sets ---------------------
 #
 # Textbook loops over bare arrays for f(x) = 0.5 * ||A x - b||^2 on
-# {x : ||x||_0 <= s}. They evaluate f, the gradient, the projection and the
-# Armijo test in the same floating-point order as the library, so a replay
-# must match a library run exactly (==), not merely to a tolerance.
+# {x : ||x||_0 <= s}, or with nonneg=True on {x >= 0 : ||x||_0 <= s}. They
+# evaluate f, the gradient, the projection and the Armijo test in the same
+# floating-point order as the library, so a replay must match a library run
+# exactly (==), not merely to a tolerance.
 
 
 def _ls_value(A, b, x):
@@ -118,25 +119,29 @@ def _ls_grad(A, b, x):
     return A.T @ (A @ x - b)
 
 
-def _hard_threshold(z, s):
-    # Keep the s largest magnitudes; ties go to the smallest index.
+def _project(z, s, nonneg):
+    # Keep the s largest magnitudes of z, clamped at 0 first on the
+    # nonnegative set; ties go to the smallest index.
+    if nonneg:
+        z = np.maximum(z, 0.0)
     keep = np.argsort(-np.abs(z), kind="stable")[:s]
     y = np.zeros(z.size)
     y[keep] = z[keep]
     return y
 
 
-def _sparse_tangent(v, support, s):
-    # v on the support, plus the largest magnitudes of v off it up to s
-    # entries; ties go to the smallest index.
+def _tangent(v, support, s, nonneg):
+    # v on the support, plus the largest magnitudes of v off it (clamped at 0
+    # on the nonnegative set) up to s entries; ties go to the smallest index.
+    w = np.maximum(v, 0.0) if nonneg else v
     d = np.zeros(v.size)
     d[support] = v[support]
     free = s - support.size
     if free > 0:
-        mag = np.abs(v)
+        mag = np.abs(w)
         mag[support] = -np.inf
         keep = np.argsort(-mag, kind="stable")[:free]
-        d[keep] = v[keep]
+        d[keep] = w[keep]
     return d
 
 
@@ -144,16 +149,26 @@ def _support(x, tol):
     return np.flatnonzero(np.abs(x) > tol)
 
 
-def _regular_distance(x, v, s, tol):
+def _regular_distance(x, v, s, tol, nonneg=False):
     support = _support(x, tol)
-    return float(np.linalg.norm(v[support] if support.size == s else v))
+    if not nonneg:
+        return float(np.linalg.norm(v[support] if support.size == s else v))
+    # Unconstrained off the support at the top stratum; below it, normals are
+    # nonpositive there, so only the positive part of v off the support counts.
+    on = float(v[support] @ v[support])
+    if support.size == s:
+        return math.sqrt(on)
+    off = np.ones(x.size, dtype=bool)
+    off[support] = False
+    pos = np.maximum(v[off], 0.0)
+    return math.sqrt(on + pos @ pos)
 
 
-def _backtrack(A, b, s, x, g, d, mu, alpha, beta, c, max_backtracks):
+def _backtrack(A, b, s, x, g, d, mu, alpha, beta, c, max_backtracks, nonneg):
     """(y, f(y), alpha, backtracks) of the first Armijo trial, or None."""
     k = 0
     while True:
-        y = _hard_threshold(x + alpha * d, s)
+        y = _project(x + alpha * d, s, nonneg)
         fy = _ls_value(A, b, y)
         if fy <= mu + c * float(g @ (y - x)):
             return y, fy, alpha, k
@@ -164,7 +179,7 @@ def _backtrack(A, b, s, x, g, d, mu, alpha, beta, c, max_backtracks):
 
 
 def replay_sparse_pgd(A, b, s, x0, *, alpha, beta, c, window=None, weight=None,
-                      stat_tol, max_iters, max_backtracks, tol=1e-9):
+                      stat_tol, max_iters, max_backtracks, tol=1e-9, nonneg=False):
     """pgd with the max rule (window) or the average rule (weight); returns the trace columns."""
     xs, fs, alphas, bts, mus, stats = [x0], [_ls_value(A, b, x0)], [math.nan], [0], [], []
     mu = fs[0]
@@ -172,7 +187,7 @@ def replay_sparse_pgd(A, b, s, x0, *, alpha, beta, c, window=None, weight=None,
     while True:
         x = xs[i]
         g = _ls_grad(A, b, x)
-        stats.append(_regular_distance(x, -g, s, tol))
+        stats.append(_regular_distance(x, -g, s, tol, nonneg))
         if window is not None:
             mu = max(fs[max(0, i - window):i + 1])
         else:
@@ -182,7 +197,7 @@ def replay_sparse_pgd(A, b, s, x0, *, alpha, beta, c, window=None, weight=None,
             return xs, fs, mus, alphas, bts, stats, "stationary-at-tol"
         if i >= max_iters:
             return xs, fs, mus, alphas, bts, stats, "max-iters"
-        step = _backtrack(A, b, s, x, g, -g, mu, alpha, beta, c, max_backtracks)
+        step = _backtrack(A, b, s, x, g, -g, mu, alpha, beta, c, max_backtracks, nonneg)
         if step is None:
             return xs, fs, mus, alphas, bts, stats, "backtrack-failure"
         for col, val in zip((xs, fs, alphas, bts), step):
@@ -191,7 +206,7 @@ def replay_sparse_pgd(A, b, s, x0, *, alpha, beta, c, window=None, weight=None,
 
 
 def replay_sparse_p2gd(A, b, s, x0, *, alpha, beta, c, stat_tol, max_iters, max_backtracks,
-                       tol=1e-9):
+                       tol=1e-9, nonneg=False):
     """p2gd: monotone Armijo search along the tangent-cone projection of -grad."""
     xs, fs, alphas, bts, mus, stats = [x0], [_ls_value(A, b, x0)], [math.nan], [0], [], []
     i = 0
@@ -199,14 +214,14 @@ def replay_sparse_p2gd(A, b, s, x0, *, alpha, beta, c, stat_tol, max_iters, max_
         x, fx = xs[i], fs[i]
         g = _ls_grad(A, b, x)
         v = -g
-        d = _sparse_tangent(v, _support(x, tol), s)
-        stats.append(_regular_distance(x, v, s, tol))
+        d = _tangent(v, _support(x, tol), s, nonneg)
+        stats.append(_regular_distance(x, v, s, tol, nonneg))
         mus.append(fx)
         if np.linalg.norm(d) <= stat_tol:
             return xs, fs, mus, alphas, bts, stats, "stationary-at-tol"
         if i >= max_iters:
             return xs, fs, mus, alphas, bts, stats, "max-iters"
-        step = _backtrack(A, b, s, x, g, d, fx, alpha, beta, c, max_backtracks)
+        step = _backtrack(A, b, s, x, g, d, fx, alpha, beta, c, max_backtracks, nonneg)
         if step is None:
             return xs, fs, mus, alphas, bts, stats, "backtrack-failure"
         for col, val in zip((xs, fs, alphas, bts), step):

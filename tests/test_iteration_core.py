@@ -3,7 +3,7 @@
 pgd and p2gd evaluate the gradient once per iterate and f once per trial
 point; arithmetic on points skips the constructor's parsing but keeps its
 finiteness check; and the refactor reproduces the committed README outputs
-and a plain-numpy replay of both solvers bit for bit.
+and a plain-numpy replay of both solvers on both sparse sets bit for bit.
 """
 
 import math
@@ -320,7 +320,7 @@ def test_readme_compare_matches_golden_bytes(tmp_path, capsys):
     assert arrows.read_bytes() == (GOLDEN / "arrows.csv").read_bytes()
 
 
-def _sensing_instance(seed, n=16, s=3, rows=10):
+def _sensing_instance(seed, n=16, s=3, rows=10, cls=SparseSet):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((rows, n)) / math.sqrt(rows)
     truth = np.zeros(n)
@@ -334,7 +334,7 @@ def _sensing_instance(seed, n=16, s=3, rows=10):
     def gr(x):
         return Point(A.T @ (A @ x.data - b), x.shape)
 
-    return A, b, SparseSet(n, s), Objective(ev, gr, name="sensing")
+    return A, b, cls(n, s), Objective(ev, gr, name="sensing")
 
 
 def _assert_trace_equals(trace, replay):
@@ -350,28 +350,54 @@ def _assert_trace_equals(trace, replay):
     assert trace.stat_measures == stats
 
 
-@pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("rule", RULES, ids=repr)
-def test_pgd_replays_bit_for_bit(seed, rule):
-    A, b, set_, obj = _sensing_instance(seed)
+def _check_pgd_replay(seed, rule, cls):
+    A, b, set_, obj = _sensing_instance(seed, cls=cls)
     cfg = SolverConfig(alpha_max=3.0, rule=rule, max_iters=60)
     trace = pgd(set_, obj, Point.zeros((set_.n,)), cfg)
     window = rule.window if isinstance(rule, MaxRule) else None
     weight = rule.weight if isinstance(rule, AverageRule) else None
     replay = replay_sparse_pgd(A, b, set_.s, np.zeros(set_.n), alpha=cfg.alpha_max, beta=cfg.beta,
                                c=cfg.c, window=window, weight=weight, stat_tol=cfg.stat_tol,
-                               max_iters=cfg.max_iters, max_backtracks=cfg.max_backtracks)
+                               max_iters=cfg.max_iters, max_backtracks=cfg.max_backtracks,
+                               nonneg=cls is NonnegSparseSet)
+    assert len(trace) > 3 and sum(trace.backtrack_counts) > 0
+    _assert_trace_equals(trace, replay)
+
+
+def _check_p2gd_replay(seed, cls):
+    A, b, set_, obj = _sensing_instance(seed, cls=cls)
+    cfg = SolverConfig(alpha_max=3.0, max_iters=60)
+    trace = p2gd(set_, obj, Point.zeros((set_.n,)), cfg)
+    replay = replay_sparse_p2gd(A, b, set_.s, np.zeros(set_.n), alpha=cfg.alpha_max, beta=cfg.beta,
+                                c=cfg.c, stat_tol=cfg.stat_tol, max_iters=cfg.max_iters,
+                                max_backtracks=cfg.max_backtracks, nonneg=cls is NonnegSparseSet)
     assert len(trace) > 3 and sum(trace.backtrack_counts) > 0
     _assert_trace_equals(trace, replay)
 
 
 @pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("rule", RULES, ids=repr)
+def test_pgd_replays_bit_for_bit(seed, rule):
+    _check_pgd_replay(seed, rule, SparseSet)
+
+
+@pytest.mark.parametrize("seed", range(4))
 def test_p2gd_replays_bit_for_bit(seed):
-    A, b, set_, obj = _sensing_instance(seed)
-    cfg = SolverConfig(alpha_max=3.0, max_iters=60)
-    trace = p2gd(set_, obj, Point.zeros((set_.n,)), cfg)
-    replay = replay_sparse_p2gd(A, b, set_.s, np.zeros(set_.n), alpha=cfg.alpha_max, beta=cfg.beta,
-                                c=cfg.c, stat_tol=cfg.stat_tol, max_iters=cfg.max_iters,
-                                max_backtracks=cfg.max_backtracks)
-    assert len(trace) > 3 and sum(trace.backtrack_counts) > 0
-    _assert_trace_equals(trace, replay)
+    _check_p2gd_replay(seed, SparseSet)
+
+
+# On the nonnegative set the selection runs on clamped vectors, whose k-th
+# largest entry is a repeated 0 when fewer than s entries are positive (the
+# tied branch of _top_indices): at x0 = 0, and in some of p2gd's tangent
+# projections.
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("rule", RULES, ids=repr)
+def test_nonneg_pgd_replays_bit_for_bit(seed, rule):
+    _check_pgd_replay(seed, rule, NonnegSparseSet)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_nonneg_p2gd_replays_bit_for_bit(seed):
+    _check_p2gd_replay(seed, NonnegSparseSet)

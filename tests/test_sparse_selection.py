@@ -3,7 +3,10 @@
 `_top_indices` must return the index set of the first k entries of a stable
 sort on descending value, ties, zeros, -0.0 and project_tangent's -inf mask
 included, so that both sparse sets project exactly as the stable-sort
-references in helpers.py do, bit for bit.
+references in helpers.py do, bit for bit. It takes one of two branches: the
+k-th largest value is unique (or every copy of it fits in k places), or
+copies of it compete for the last places. The seeded tests show that their
+inputs reach both at every size.
 """
 
 import numpy as np
@@ -14,7 +17,7 @@ from hypothesis import strategies as st
 from ncpgd import NonnegSparseSet, Point, SparseSet
 from ncpgd.sets.sparse import _top_indices
 
-from helpers import _hard_threshold, _sparse_tangent
+from helpers import _project, _tangent
 
 SIZES = [2, 3, 10, 200, 10000]
 
@@ -41,8 +44,15 @@ def _stable(m, k):
     return np.sort(np.argsort(-m, kind="stable")[:k])
 
 
+def _tied(m, k):
+    """Whether the k-th and (k+1)-th largest values are equal: the tied branch."""
+    desc = np.sort(m)[::-1]
+    return bool(desc[k] == desc[k - 1])
+
+
 @pytest.mark.parametrize("n", SIZES)
 def test_selection_matches_the_stable_sort(n):
+    branches = set()
     for seed in range(3):
         rng = np.random.default_rng(1000 + seed)
         for v in _vectors(seed, n):
@@ -54,6 +64,8 @@ def test_selection_matches_the_stable_sort(n):
                     got = _top_indices(m, k)
                     assert got.size == k
                     assert np.array_equal(np.sort(got), _stable(m, k)), (n, k, m)
+                    branches.add(_tied(m, k))
+    assert branches == {False, True}
 
 
 @given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, -np.inf]),
@@ -84,16 +96,21 @@ def _feasible(rng, n, s, nonneg):
 def test_projections_match_the_stable_sort_references(n, cls):
     nonneg = cls is NonnegSparseSet
     clamp = (lambda a: np.maximum(a, 0.0)) if nonneg else (lambda a: a)
+    project_branches, tangent_branches = set(), set()
     for s in _ks(n):
         set_ = cls(n, s)
         for seed in range(2):
             rng = np.random.default_rng(2000 + seed)
             for v in _vectors(seed, n):
                 got = set_.project(Point(v)).data
-                assert np.array_equal(_bits(got), _bits(_hard_threshold(clamp(v), s)))
+                assert np.array_equal(_bits(got), _bits(_project(v, s, nonneg)))
+                project_branches.add(_tied(np.abs(clamp(v)), s))
 
                 x, support = _feasible(rng, n, s, nonneg)
-                want = _sparse_tangent(clamp(v), support, s)
-                want[support] = v[support]
                 got = set_.project_tangent(Point(x), Point(v)).data
-                assert np.array_equal(_bits(got), _bits(want))
+                assert np.array_equal(_bits(got), _bits(_tangent(v, support, s, nonneg)))
+                if support.size < s:
+                    mag = np.abs(clamp(v))
+                    mag[support] = -np.inf
+                    tangent_branches.add(_tied(mag, s - support.size))
+    assert project_branches == tangent_branches == {False, True}
