@@ -458,10 +458,10 @@ def suite_armijo_postcondition(seed: int, trials: int) -> tuple[bool, list[str]]
             x_prev, x_next = trace.iterates[i - 1], trace.iterates[i]
             gap = x_next - x_prev
             slack = 1e-10 * max(1.0, abs(trace.f_values[0]))
-            rhs = trace.mu_values[i - 1] + cfg.c * float(np.dot(obj.grad(x_prev).data, gap.data))
+            rhs = trace.mu_values[i - 1] + cfg.c * float(obj.grad(x_prev).data.dot(gap.data))
             if trace.f_values[i] > rhs + slack:
                 return False, [f"trial {t}: Armijo violated at step {i}"]
-            decay = trace.mu_values[i - 1] - cfg.c / (2.0 * trace.alphas[i]) * float(np.dot(gap.data, gap.data))
+            decay = trace.mu_values[i - 1] - cfg.c / (2.0 * trace.alphas[i]) * float(gap.data.dot(gap.data))
             if trace.f_values[i] > decay + slack:
                 return False, [f"trial {t}: sufficient decrease violated at step {i}"]
             if not set_.contains(x_next):

@@ -1,4 +1,12 @@
-"""Points, objectives, and gradient checking for the ambient Euclidean space."""
+"""Points, objectives, and gradient checking for the ambient Euclidean space.
+
+Per-point and per-query numpy calls here, in ``solver`` and in ``sets`` use
+the cheapest entry point that gives the same bits and the same warnings:
+``a.dot(b)``, ``abs(a)``, ``a.min()``/``a.max()`` and
+``a.setflags(write=False)`` rather than ``np.dot``, ``np.abs``,
+``np.min``/``np.max`` and assigning ``a.flags.writeable``, and
+``np.count_nonzero`` to count the true entries of a boolean array.
+"""
 
 from __future__ import annotations
 
@@ -27,10 +35,11 @@ def _finite(flat: np.ndarray) -> bool:
     """Whether every entry of a float array is finite.
 
     An elementwise test, so it raises no numpy warning: a test on the sum
-    would overflow on finite input such as [1e308, 1e308]. The ufunc
-    reduction is ``ndarray.all`` without its Python-level wrapper.
+    would overflow on finite input such as [1e308, 1e308]. Counting the
+    finite entries takes about half the time of a logical reduction of them
+    at 200 entries, and within a few percent of it at 10,000 to 40,000.
     """
-    return bool(np.logical_and.reduce(np.isfinite(flat)))
+    return bool(np.count_nonzero(np.isfinite(flat)) == flat.size)
 
 
 class Point:
@@ -51,8 +60,9 @@ class Point:
       Arithmetic results and user-built points carry none.
     - ``_memo`` is set on any point by the first low-rank or PSD query that
       decomposes it: every singular value or eigenvalue and the leading
-      factors. Later queries at the point read it instead of decomposing
-      again, and it lives as long as the point.
+      factors, or every eigenvector when that query is a PSD normal draw,
+      which needs a basis of the kernel. Later queries at the point read it
+      instead of decomposing again, and it lives as long as the point.
 
     Every point has finite coordinates. ``Point(...)`` tests its input, and
     so does ``Point._of`` for the points the package computes (arithmetic,
@@ -87,7 +97,7 @@ class Point:
             raise ShapeError(f"{flat.size} coordinates do not fill shape {shape}")
         if not _finite(flat):
             raise ValueError("point has non-finite coordinates")
-        flat.flags.writeable = False
+        flat.setflags(write=False)
         _set_data(self, flat)
         _set_shape(self, shape)
 
@@ -104,7 +114,7 @@ class Point:
         """
         if not (finite or _finite(flat)):
             raise ValueError("point has non-finite coordinates")
-        flat.flags.writeable = False
+        flat.setflags(write=False)
         p = object.__new__(cls)
         _set_data(p, flat)
         _set_shape(p, shape)
@@ -180,19 +190,19 @@ def _describe(x: Point) -> str:
 def inner(a: Point, b: Point) -> float:
     """Euclidean (Frobenius) inner product of two same-shape points."""
     a._check_same_shape(b)
-    return float(np.dot(a.data, b.data))
+    return float(a.data.dot(b.data))
 
 
 def norm(a: Point) -> float:
     """Euclidean (Frobenius) norm."""
     # What np.linalg.norm computes for real 1-D data, bit for bit.
-    return math.sqrt(np.dot(a.data, a.data))
+    return math.sqrt(a.data.dot(a.data))
 
 
 def _sq_dist(a: np.ndarray, b: np.ndarray) -> float:
     """||a - b||^2, bit for bit as ``norm`` squares it, with no Point of a - b."""
     d = a - b
-    sq = float(np.dot(d, d))
+    sq = float(d.dot(d))
     # Point's error for an overflowed difference, which only a sum that is not finite can hide.
     if not math.isfinite(sq) and not _finite(d):
         raise ValueError("point has non-finite coordinates")
@@ -254,11 +264,11 @@ def quartic() -> Objective:
     """f(x) = 0.25 * ||x||^4 with gradient ||x||^2 * x."""
 
     def ev(x: Point) -> float:
-        s = float(np.dot(x.data, x.data))
+        s = float(x.data.dot(x.data))
         return 0.25 * s * s
 
     def gr(x: Point) -> Point:
-        s = float(np.dot(x.data, x.data))
+        s = float(x.data.dot(x.data))
         return Point(s * x.data, x.shape)
 
     return Objective(ev, gr, name="quartic")

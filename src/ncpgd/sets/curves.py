@@ -151,7 +151,7 @@ class CurveSet(_KinkedGraph):
             return self._dist_kink_normal(v.data)
         # Smooth point: the normal cone is the line orthogonal to the tangent.
         tau = self._unit_tangent(t)
-        return abs(float(np.dot(v.data, tau)))
+        return abs(float(v.data.dot(tau)))
 
     @staticmethod
     def _kink_tangent(v: np.ndarray) -> tuple[np.ndarray, float]:
@@ -181,7 +181,7 @@ class CurveSet(_KinkedGraph):
         if abs(t) <= self._tol(tol):
             return Point._of(self._kink_tangent(v.data)[0], (2,))
         tau = self._unit_tangent(t)
-        return Point._of(float(np.dot(v.data, tau)) * tau, (2,))
+        return Point._of(float(v.data.dot(tau)) * tau, (2,))
 
     def sample_regular_normal(self, x: Point, v_rng: np.random.Generator,
                               tol: float | None = None) -> Point:
@@ -243,7 +243,7 @@ class EpigraphSet(_KinkedGraph):
         if stratum == 0:
             return self._dist_kink_normal(v.data)
         nhat = self._outward_normal(float(x.data[0]))
-        s = float(np.dot(v.data, nhat))
+        s = float(v.data.dot(nhat))
         if s <= 0.0:
             return norm(v)
         return float(np.linalg.norm(v.data - s * nhat))
@@ -263,7 +263,7 @@ class EpigraphSet(_KinkedGraph):
             return Point._of(np.array([min(float(v.data[0]), 0.0), max(float(v.data[1]), 0.0)]),
                              (2,))
         nhat = self._outward_normal(float(x.data[0]))
-        s = float(np.dot(v.data, nhat))
+        s = float(v.data.dot(nhat))
         if s <= 0.0:
             return v
         return Point._of(v.data - s * nhat, (2,))

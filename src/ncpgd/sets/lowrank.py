@@ -5,9 +5,13 @@ that needs the thin SVD of x (``LowRankSet``) or the eigendecomposition of
 its symmetric part (``PsdLowRankSet``) keeps every singular value or
 eigenvalue, and the singular vectors or eigenvectors of the r + 1 largest, on
 x as its memo, and every later ``project``, ``contains``, stratum or cone
-query at x reads them. The memo lives as long as x. Two queries decompose again: one by a set of larger rank
-than the memo's, which holds too few leading factors for it, and
-``PsdLowRankSet.sample_regular_normal``, which needs a basis of the kernel.
+query at x reads them. The memo lives as long as x. The one exception to
+r + 1 is ``PsdLowRankSet.sample_regular_normal``, which needs a basis of the
+kernel: when it is the first query at x, the memo keeps all n eigenvectors,
+and every later query reads them. Two queries decompose again: one by a set
+of larger rank than the memo's, which holds too few leading factors for it,
+and ``sample_regular_normal`` at a point whose memo holds only r + 1
+eigenvectors.
 
 Both projections also leave their kept factors on the point they return, so
 the stratum and cone queries at a projected iterate cost a few O(mnr)
@@ -28,7 +32,7 @@ from .base import FeasibleSet
 
 def _fix_gauge(Q: np.ndarray) -> np.ndarray:
     """Sign convention: first sizable entry of each column positive."""
-    A = np.abs(Q)
+    A = abs(Q)
     big = A > 1e-12 * A.max(axis=0, initial=0.0)
     first = np.argmax(big, axis=0)
     flip = big.any(axis=0) & (Q[first, np.arange(Q.shape[1])] < 0.0)
@@ -49,7 +53,7 @@ def _keep(x: Point, slot: str, kind: type, *arrays: np.ndarray) -> Point:
     """Leave arrays, made read-only, in the slot of x unless it is taken; return x."""
     if getattr(x, slot, None) is None:
         for a in arrays:
-            a.flags.writeable = False
+            a.setflags(write=False)
         object.__setattr__(x, slot, (kind, *arrays))
     return x
 
@@ -212,18 +216,20 @@ class PsdLowRankSet(FeasibleSet):
 
         The eigenvectors are those of more than r of the largest eigenvalues,
         read from the memo of x; the first call at x computes the
-        decomposition and leaves this memo. ``full=True`` always decomposes
-        and returns all n eigenvectors, for callers that need a basis of the
-        kernel.
+        decomposition and leaves this memo. ``full=True`` returns all n
+        eigenvectors, for callers that need a basis of the kernel: read from
+        the memo when a full call made it, else decomposed again.
         """
-        f = None if full else _kept(x, "_memo", PsdLowRankSet)
-        if f is not None and f[1].shape[1] > self.r:
+        f = _kept(x, "_memo", PsdLowRankSet)
+        if f is not None and f[1].shape[1] > (self.n - 1 if full else self.r):
             return f
         w, Q = np.linalg.eigh(_sym(x.as_array()))
-        # r + 1 vectors, copied, for the reasons given in LowRankSet._svd.
-        lead = Q[:, self.n - self.r - 1:].copy()
-        _keep(x, "_memo", PsdLowRankSet, w, lead)
-        return (w, Q) if full else (w, lead)
+        # A full call keeps all of Q. Otherwise r + 1 vectors, copied, for the
+        # reasons given in LowRankSet._svd. A view of either is strided, so
+        # every product at it gives the same bits.
+        f = (w, Q if full else Q[:, self.n - self.r - 1:].copy())
+        _keep(x, "_memo", PsdLowRankSet, *f)
+        return f
 
     def project(self, x: Point) -> Point:
         self._require_shape(x)
@@ -301,10 +307,10 @@ class PsdLowRankSet(FeasibleSet):
         # P W P (P the kernel projector) vanishes on the range of x, so next
         # to the eigenvalues of W restricted to the kernel it has k zeros.
         wb = np.linalg.eigvalsh(_sym(_ortho_block(W, U, U.T)))
-        rank_b = int(np.count_nonzero(np.abs(wb) > t * scale))
+        rank_b = int(np.count_nonzero(abs(wb) > t * scale))
         if rank_b <= self.n - self.r:
             return True
-        return bool(np.max(wb, initial=0.0) <= t * scale)
+        return bool(wb.max(initial=0.0) <= t * scale)
 
     def random_point(self, rng: np.random.Generator, stratum: int | None = None) -> Point:
         k = self._pick_stratum(rng, stratum)

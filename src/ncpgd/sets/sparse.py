@@ -81,7 +81,7 @@ class _Sparsity(FeasibleSet):
         self._require_shape(x)
         t = self._tol(tol)
         self._check_signs(x, t)
-        idx = (np.abs(x.data) > t).nonzero()[0]
+        idx = (abs(x.data) > t).nonzero()[0]
         if idx.size > self.s:
             self._infeasible(x, f"{idx.size} entries exceed the sparsity level {self.s}")
         return idx
@@ -95,7 +95,7 @@ class _Sparsity(FeasibleSet):
     def project(self, x: Point) -> Point:
         self._require_shape(x)
         y = self._clamp(x.data)
-        keep = _top_indices(np.abs(y), self.s)
+        keep = _top_indices(abs(y), self.s)
         out = np.zeros(self.n)
         out[keep] = y[keep]
         # Entries of x (clamped at 0 on the nonnegative set) or zeros: finite because x is.
@@ -108,9 +108,9 @@ class _Sparsity(FeasibleSet):
         self._require_shape(v)
         t = self._tol(tol)
         support = self._support(x, tol)
-        if support.size and np.max(np.abs(v.data[support])) > t:
+        if support.size and abs(v.data[support]).max() > t:
             return False
-        nnz = int(np.count_nonzero(np.abs(v.data) > t))
+        nnz = int(np.count_nonzero(abs(v.data) > t))
         return nnz <= self.n - self.s or self._in_sign_normal(v, t)
 
     def project_tangent(self, x: Point, v: Point, tol: float | None = None) -> Point:
@@ -121,7 +121,7 @@ class _Sparsity(FeasibleSet):
         free = self.s - support.size
         if free > 0:
             w = self._clamp(v.data)
-            mag = np.abs(w)
+            mag = abs(w)
             mag[support] = -np.inf
             keep = _top_indices(mag, free)
             out[keep] = w[keep]
@@ -166,7 +166,7 @@ class SparseSet(_Sparsity):
         if support.size == self.s:
             # Cone = vectors supported off the support of x.
             w = v.data[support]
-            return math.sqrt(np.dot(w, w))
+            return math.sqrt(w.dot(w))
         # Below the top stratum the regular normal cone is {0}.
         return norm(v)
 
@@ -184,25 +184,26 @@ class NonnegSparseSet(_Sparsity):
         return np.maximum(a, 0.0)
 
     def _check_signs(self, x: Point, t: float):
-        if np.min(x.data, initial=0.0) < -t:
+        if x.data.min(initial=0.0) < -t:
             self._infeasible(x, "negative entry")
 
     def dist_regular_normal(self, x: Point, v: Point, tol: float | None = None) -> float:
         self._require_shape(v)
         support = self._support(x, tol)
-        on = float(np.dot(v.data[support], v.data[support]))
+        w = v.data[support]
+        on = float(w.dot(w))
         if support.size == self.s:
             # Off-support part is unconstrained at the top stratum.
-            return float(np.sqrt(on))
+            return math.sqrt(on)
         # Below it, normals are nonpositive off the support.
         pos = np.maximum(v.data[self._off_support(support)], 0.0)
-        return float(np.sqrt(on + np.dot(pos, pos)))
+        return math.sqrt(on + pos.dot(pos))
 
     def _in_sign_normal(self, v: Point, t: float) -> bool:
-        return bool(np.max(v.data, initial=0.0) <= t)
+        return bool(v.data.max(initial=0.0) <= t)
 
     def _signs(self, rng: np.random.Generator, magnitudes: np.ndarray) -> np.ndarray:
         return magnitudes
 
     def _normal_off_support(self, v_rng: np.random.Generator, size: int):
-        return -np.abs(v_rng.standard_normal(size))
+        return -abs(v_rng.standard_normal(size))

@@ -196,7 +196,7 @@ def _line_search(set_: FeasibleSet, obj: Objective, x: Point, g: Point, d: np.nd
     while True:
         y = project(Point._of(xd + alpha * d, shape))
         lhs = f(y)
-        rhs = mu + c * float(np.dot(gd, y.data - xd))
+        rhs = mu + c * float(gd.dot(y.data - xd))
         if lhs <= rhs:
             return StepResult(y, alpha, backtracks, lhs, rhs)
         if backtracks >= cfg.max_backtracks:

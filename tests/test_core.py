@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -82,6 +83,21 @@ def test_point_rejects_non_finite():
         Point.vector([float("inf"), 0.0])
 
 
+def _seeded(size, bad, seed):
+    """A seeded Gaussian array of size entries; bad, unless None, replaces one entry at a seeded place."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(size)
+    if bad is not None:
+        a[rng.integers(size)] = bad
+    return a
+
+
+# The sizes of the benchmark's sparse points and of its 100x100 and 200x200 matrices.
+WORKLOAD_SIZED = [pytest.param(_seeded(size, bad, seed), id=f"{size}-{bad}")
+                  for seed, (size, bad) in enumerate(itertools.product(
+                      (200, 10_000, 40_000), (None, np.inf, -np.inf, np.nan)))]
+
+
 @pytest.mark.parametrize("coords", [
     [1e308, 1e308],                   # finite, but the sum overflows
     [1e308, 1e308, -1e308, -1e308],   # finite, but pairwise summation gives inf - inf
@@ -92,6 +108,7 @@ def test_point_rejects_non_finite():
     [np.nan],
     [1.0, np.inf, -np.inf],
     [0.0, -np.inf],
+    *WORKLOAD_SIZED,
 ], ids=str)
 def test_point_accepts_exactly_the_finite_arrays(coords):
     a = np.array(coords)

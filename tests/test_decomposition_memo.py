@@ -71,6 +71,26 @@ def test_prox_equals_regular_decomposes_each_sampled_point_once(decompositions, 
     assert decompositions.of("svd") == 3 + 20
 
 
+def test_psd_normal_draws_at_a_fresh_point_decompose_it_once(rng, decompositions):
+    # The first query at x is a draw, which needs every eigenvector (a basis
+    # of the kernel), so the memo keeps them all and the other draws read it.
+    set_ = PsdLowRankSet(6, 2)
+    a = set_.random_point(rng, stratum=1).as_array()
+    x = Point(a)
+    decompositions.clear()
+    draws = [set_.sample_regular_normal(x, np.random.default_rng(seed)) for seed in range(20)]
+    assert decompositions.of("eigh") == len(decompositions) == 1
+    # Each draw has the bits of the same draw at a fresh point.
+    for seed, v in enumerate(draws):
+        fresh = set_.sample_regular_normal(Point(a), np.random.default_rng(seed))
+        assert v.data.tobytes() == fresh.data.tobytes()
+    # The other queries read the memo too.
+    decompositions.clear()
+    assert set_.stratum_id(x) == 1
+    set_.project(x)
+    assert decompositions == []
+
+
 # -- a memo never changes an answer --------------------------------------------
 
 
