@@ -33,8 +33,7 @@ class StationarityReport(NamedTuple):
 
     The classification is consistent with the nesting of the cones:
     proximal implies regular implies general. ``proximal_member`` is the
-    closed-form ``in_proximal_normal``; the certifying step of the sampled
-    witness comes from ``proximal_normal_witness``.
+    closed-form ``in_proximal_normal``; the report runs no sampled witness.
     """
 
     point: Point

@@ -404,7 +404,8 @@ def _suite_sets() -> tuple[FeasibleSet, ...]:
     return _cone_equal_sets() + (sets.CurveSet(), sets.EpigraphSet())
 
 
-def suite_projected_translation(seed: int, trials: int) -> tuple[bool, list[str]]:
+def projected_translation_trials(seed: int, trials: int):
+    """Per trial: (t, set, x, v, dist-ok, ip-ok), a random feasible x and translation v."""
     rng = np.random.default_rng(seed)
     pool = _suite_sets()
     for t in range(trials):
@@ -412,60 +413,79 @@ def suite_projected_translation(seed: int, trials: int) -> tuple[bool, list[str]
         x = set_.random_point(rng)
         scale = float(rng.choice([0.01, 0.3, 1.0, 3.0]))
         v = Point(scale * rng.standard_normal(x.data.size), x.shape)
-        ok_dist, ok_ip = projected_translation_check(set_, x, v)
+        yield (t, set_, x, v) + projected_translation_check(set_, x, v)
+
+
+def suite_projected_translation(seed: int, trials: int) -> tuple[bool, list[str]]:
+    for t, set_, x, v, ok_dist, ok_ip in projected_translation_trials(seed, trials):
         if not (ok_dist and ok_ip):
             return False, [f"trial {t}: set={set_!r} x={_fmt_point(x)} v={_fmt_point(v)} "
                            f"dist-ok={ok_dist} ip-ok={ok_ip}"]
-    return True, [f"{trials} trials across {len(pool)} sets"]
+    return True, [f"{trials} trials across {len(_suite_sets())} sets"]
+
+
+def prox_equals_regular_trials(seed: int, points: int):
+    """Per sampled regular normal v at x: (set, stratum, x, v, proximal witness found)."""
+    rng = np.random.default_rng(seed)
+    for set_ in _cone_equal_sets():
+        for stratum in set_.stratum_ids:
+            for _ in range(max(1, points)):
+                x = set_.random_point(rng, stratum=stratum)
+                for _ in range(20):
+                    v = set_.sample_regular_normal(x, rng)
+                    yield set_, stratum, x, v, in_proximal_normal_witness(set_, x, v)
 
 
 def suite_prox_equals_regular(seed: int, trials: int) -> tuple[bool, list[str]]:
-    rng = np.random.default_rng(seed)
-    points = max(1, trials)
-    directions = 20
     checked = 0
-    for set_ in _cone_equal_sets():
-        for stratum in set_.stratum_ids:
-            for _ in range(points):
-                x = set_.random_point(rng, stratum=stratum)
-                for _ in range(directions):
-                    v = set_.sample_regular_normal(x, rng)
-                    if not in_proximal_normal_witness(set_, x, v):
-                        return False, [f"set={set_!r} stratum={stratum} "
-                                       f"x={_fmt_point(x)} v={_fmt_point(v)}"]
-                    checked += 1
+    for set_, stratum, x, v, certified in prox_equals_regular_trials(seed, trials):
+        if not certified:
+            return False, [f"set={set_!r} stratum={stratum} x={_fmt_point(x)} v={_fmt_point(v)}"]
+        checked += 1
     return True, [f"{checked} regular-normal directions certified proximal"]
 
 
-def suite_armijo_postcondition(seed: int, trials: int) -> tuple[bool, list[str]]:
+def armijo_replay(set_: FeasibleSet, obj: Objective, cfg: SolverConfig, trace: Trace):
+    """Per accepted step i of a pgd trace: (i, None), or (i, the first of the Armijo
+    condition, the sufficient decrease and feasibility that step i violates)."""
+    slack = 1e-10 * max(1.0, abs(trace.f_values[0]))
+    for i in range(1, len(trace)):
+        x_prev, x_next = trace.iterates[i - 1], trace.iterates[i]
+        gap = x_next - x_prev
+        mu, f = trace.mu_values[i - 1], trace.f_values[i]
+        if f > mu + cfg.c * float(obj.grad(x_prev).data.dot(gap.data)) + slack:
+            yield i, "Armijo violated"
+        elif f > mu - cfg.c / (2.0 * trace.alphas[i]) * float(gap.data.dot(gap.data)) + slack:
+            yield i, "sufficient decrease violated"
+        elif not set_.contains(x_next):
+            yield i, "infeasible iterate"
+        else:
+            yield i, None
+
+
+def armijo_postcondition_trials(seed: int, trials: int):
+    """Per trial: (t, set, obj, cfg, trace), a seeded pgd solve on a cone-equal set."""
     rng = np.random.default_rng(seed)
     pool = _cone_equal_sets()
     rules = [MaxRule(0), MaxRule(2), MaxRule(5),
              AverageRule(0.1), AverageRule(0.5), AverageRule(1.0)]
-    steps = 0
     for t in range(trials):
         set_ = pool[t % len(pool)]
-        target = Point(rng.standard_normal(set_.random_point(rng).data.size),
-                       set_.ambient_shape)
-        obj = least_squares(target)
+        obj = least_squares(Point(rng.standard_normal(set_.random_point(rng).data.size),
+                                  set_.ambient_shape))
         x0 = set_.random_point(rng)
-        alpha = float(rng.choice([0.3, 0.7, 1.0, 1.3]))
-        cfg = SolverConfig(alpha_min=1e-4, alpha_max=alpha, beta=0.5,
-                           c=float(rng.choice([1e-4, 0.1, 0.4])),
+        cfg = SolverConfig(alpha_min=1e-4, alpha_max=float(rng.choice([0.3, 0.7, 1.0, 1.3])),
+                           beta=0.5, c=float(rng.choice([1e-4, 0.1, 0.4])),
                            rule=rules[t % len(rules)], stat_tol=1e-8, max_iters=500)
-        trace = pgd(set_, obj, x0, cfg)
-        for i in range(1, len(trace)):
-            x_prev, x_next = trace.iterates[i - 1], trace.iterates[i]
-            gap = x_next - x_prev
-            slack = 1e-10 * max(1.0, abs(trace.f_values[0]))
-            rhs = trace.mu_values[i - 1] + cfg.c * float(obj.grad(x_prev).data.dot(gap.data))
-            if trace.f_values[i] > rhs + slack:
-                return False, [f"trial {t}: Armijo violated at step {i}"]
-            decay = trace.mu_values[i - 1] - cfg.c / (2.0 * trace.alphas[i]) * float(gap.data.dot(gap.data))
-            if trace.f_values[i] > decay + slack:
-                return False, [f"trial {t}: sufficient decrease violated at step {i}"]
-            if not set_.contains(x_next):
-                return False, [f"trial {t}: infeasible iterate at step {i}"]
+        yield t, set_, obj, cfg, pgd(set_, obj, x0, cfg)
+
+
+def suite_armijo_postcondition(seed: int, trials: int) -> tuple[bool, list[str]]:
+    steps = 0
+    for t, *run in armijo_postcondition_trials(seed, trials):
+        for i, violation in armijo_replay(*run):
+            if violation:
+                return False, [f"trial {t}: {violation} at step {i}"]
             steps += 1
     return True, [f"{trials} solves, {steps} accepted steps replayed"]
 

