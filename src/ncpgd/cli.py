@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import logging
 import os
 import sys
@@ -17,9 +18,9 @@ from .sets import (
     FeasibleSet,
     InfeasiblePointError,
     in_proximal_normal_witness,
-    projected_translation_check,
     proximal_normal_witness,
 )
+from .sets.base import _projected_translation
 from .solver import (
     AverageRule,
     BacktrackError,
@@ -405,7 +406,8 @@ def _suite_sets() -> tuple[FeasibleSet, ...]:
 
 
 def projected_translation_trials(seed: int, trials: int):
-    """Per trial: (t, set, x, v, dist-ok, ip-ok), a random feasible x and translation v."""
+    """Per trial: (t, set, x, v, y, dist-ok, ip-ok), a random feasible x and translation v,
+    y = project(x - v) and the two verdicts of ``projected_translation_check`` on y."""
     rng = np.random.default_rng(seed)
     pool = _suite_sets()
     for t in range(trials):
@@ -413,11 +415,11 @@ def projected_translation_trials(seed: int, trials: int):
         x = set_.random_point(rng)
         scale = float(rng.choice([0.01, 0.3, 1.0, 3.0]))
         v = Point(scale * rng.standard_normal(x.data.size), x.shape)
-        yield (t, set_, x, v) + projected_translation_check(set_, x, v)
+        yield (t, set_, x, v) + _projected_translation(set_, x, v)
 
 
 def suite_projected_translation(seed: int, trials: int) -> tuple[bool, list[str]]:
-    for t, set_, x, v, ok_dist, ok_ip in projected_translation_trials(seed, trials):
+    for t, set_, x, v, _, ok_dist, ok_ip in projected_translation_trials(seed, trials):
         if not (ok_dist and ok_ip):
             return False, [f"trial {t}: set={set_!r} x={_fmt_point(x)} v={_fmt_point(v)} "
                            f"dist-ok={ok_dist} ip-ok={ok_ip}"]
@@ -593,5 +595,17 @@ def main(argv=None) -> int:
         return EXIT_SOLVER
 
 
+def run(argv=None) -> int:
+    """Process entry point of the ``ncpgd`` script and ``python -m ncpgd.cli``.
+
+    Freezes the objects that exist after the imports (numpy's and ncpgd's),
+    which live until exit anyway, so that the cyclic collector skips them
+    during the command and at shutdown; then runs ``main``. In-process
+    callers of ``main`` keep their collector state.
+    """
+    gc.freeze()
+    return main(argv)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -209,9 +209,15 @@ def projected_translation_check(set_: FeasibleSet, x: Point, v: Point,
     2<v, y - x> <= -||y - x||^2, each with a small numerical slack. Used as a
     property-test oracle; both must hold for every feasible x and ambient v.
     """
+    return _projected_translation(set_, x, v, slack)[1:]
+
+
+def _projected_translation(set_: FeasibleSet, x: Point, v: Point,
+                           slack: float = 1e-9) -> tuple[Point, bool, bool]:
+    """``projected_translation_check`` with the projection y it tested: (y, dist-ok, ip-ok)."""
     y = set_.project(x - v)
     d = norm(y - x)
     nv = norm(v)
     ok_dist = d <= 2.0 * nv + slack * max(1.0, nv)
     ok_ip = 2.0 * inner(v, y - x) <= -d * d + slack * max(1.0, nv * nv)
-    return ok_dist, ok_ip
+    return y, ok_dist, ok_ip

@@ -1,4 +1,7 @@
+import ast
 import dataclasses
+import gc
+import importlib
 import math
 import os
 import subprocess
@@ -12,7 +15,10 @@ from helpers import read_trace_csv
 
 
 def run_cli(argv, capsys):
+    frozen = gc.get_freeze_count()
     code = cli.main(argv)
+    # Only the process entry point cli.run freezes the collector's objects.
+    assert gc.get_freeze_count() == frozen
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -460,7 +466,17 @@ def test_a_set_spec_loads_only_its_set_module(spec, module):
     assert _modules_after(code) == str(["ncpgd.sets.base", f"ncpgd.sets.{module}"])
 
 
-def test_installed_entry_point_smoke(tmp_path):
+def _main_block_callees(module) -> list:
+    """The functions of module that its `if __name__ == "__main__":` block calls."""
+    with open(module.__file__) as fh:
+        tree = ast.parse(fh.read())
+    block, = [node for node in tree.body if isinstance(node, ast.If)
+              and ast.unparse(node.test) == "__name__ == '__main__'"]
+    return [getattr(module, node.func.id) for node in ast.walk(block)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+
+
+def test_installed_entry_point_smoke(tmp_path, capsys):
     env = dict(os.environ, NCPGD_LOG="quiet")
     out = tmp_path / "trace.csv"
     proc = subprocess.run(
@@ -474,6 +490,26 @@ def test_installed_entry_point_smoke(tmp_path):
                           env=dict(os.environ, NCPGD_LOG="debug"))
     assert proc.returncode == 0
     assert "proximal-member (closed form): true" in proc.stdout
+
+    for argv in (SOLVE_ARGS + ["--out", str(out)],
+                 ["solve", "--set", "sparse:n=2,s=1", "--objective", "least-squares:target=1,0",
+                  "--x0", "1,1"]):
+        code = ("import gc\n"
+                "from ncpgd import cli\n"
+                f"print(cli.run({argv!r}), gc.get_freeze_count())\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        returned, frozen = proc.stdout.split()[-2:]
+        assert int(returned) == run_cli(argv, capsys)[0]
+        assert int(frozen) > 0
+
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        module, _, name = tomllib.load(fh)["project"]["scripts"]["ncpgd"].partition(":")
+    script = getattr(importlib.import_module(module), name)
+    assert _main_block_callees(cli) == [script]
 
 
 def test_python_m_logs_under_the_package_logger_name(tmp_path):
