@@ -12,7 +12,6 @@ from .analysis import (
     StationarityReport,
     classify_stationarity,
     detect_apocalypse,
-    lipschitz_probe,
     stationarity_measure_series,
 )
 from .core import (
@@ -82,7 +81,6 @@ __all__ = [
     "in_proximal_normal_witness",
     "inner",
     "least_squares",
-    "lipschitz_probe",
     "mu_update_average",
     "mu_update_max",
     "norm",

@@ -1,4 +1,4 @@
-"""Stationarity certification, apocalypse detection, and smoothness probes."""
+"""Stationarity certification and apocalypse detection."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Objective, Point, _sq_dist, norm
+from .core import Objective, Point, _sq_dist
 # proximal_normal_witness is not called here, since the label comes from the
 # closed-form in_proximal_normal; the name stays bound because the benchmark
 # tracer patches analysis.proximal_normal_witness.
@@ -20,7 +20,6 @@ __all__ = [
     "classify_stationarity",
     "stationarity_measure_series",
     "detect_apocalypse",
-    "lipschitz_probe",
 ]
 
 # Classification tolerance defaults to ten times the solver's stopping
@@ -117,54 +116,3 @@ def detect_apocalypse(set_: FeasibleSet, obj: Objective, trace: Trace,
     flagged = series[-1] <= tol and measure_at_limit > 10.0 * tol
     return ApocalypseFlag(limit, series, measure_at_limit, flagged)
 
-
-def lipschitz_probe(obj: Objective, region_center: Point, radius: float,
-                    samples: int, seed: int = 0) -> float:
-    """Monte-Carlo lower estimate of the gradient's Lipschitz constant on a ball.
-
-    Draws points in the closed ball around region_center and records gradient
-    difference quotients over short, long, and radial pairs; ratios never
-    exceed the true modulus, so the estimate approaches it from below.
-    """
-    radius = float(radius)
-    if radius <= 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    if samples < 1:
-        raise ValueError(f"samples must be positive, got {samples}")
-    rng = np.random.default_rng(seed)
-    dim = region_center.data.size
-    shape = region_center.shape
-    eps = 1e-3 * radius
-
-    def ball_point() -> Point:
-        u = rng.standard_normal(dim)
-        u /= np.linalg.norm(u)
-        rad = radius * rng.uniform() ** (1.0 / dim)
-        return Point(region_center.data + rad * u, shape)
-
-    def ratio(a: Point, b: Point) -> float:
-        gap = norm(a - b)
-        if gap < 1e-12 * radius:
-            return 0.0
-        return norm(obj.grad(a) - obj.grad(b)) / gap
-
-    best = 0.0
-    for _ in range(samples):
-        x = ball_point()
-        # Short pair along a random direction, clipped into the ball.
-        u = rng.standard_normal(dim)
-        u /= np.linalg.norm(u)
-        y = Point(x.data + eps * u, shape)
-        off = y - region_center
-        if norm(off) > radius:
-            y = Point(region_center.data + radius * off.data / norm(off), shape)
-        best = max(best, ratio(x, y))
-        # Long pair.
-        best = max(best, ratio(x, ball_point()))
-        # Radial pair out to the boundary, where curvature-driven moduli peak.
-        d = x - region_center
-        nd = norm(d)
-        if nd > 1e-12 * radius:
-            boundary = Point(region_center.data + radius * d.data / nd, shape)
-            best = max(best, ratio(x, boundary))
-    return best

@@ -431,7 +431,7 @@ def prox_equals_regular_trials(seed: int, points: int):
     rng = np.random.default_rng(seed)
     for set_ in _cone_equal_sets():
         for stratum in set_.stratum_ids:
-            for _ in range(max(1, points)):
+            for _ in range(points):
                 x = set_.random_point(rng, stratum=stratum)
                 for _ in range(20):
                     v = set_.sample_regular_normal(x, rng)
@@ -504,6 +504,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         raise SpecError(f"unknown suite {args.suite!r}; known: {', '.join(sorted(SUITES))}")
     fn, default_trials = SUITES[args.suite]
     trials = args.trials if args.trials is not None else default_trials
+    if trials < 1:
+        raise SpecError(f"--trials must be at least 1, got {trials}")
     passed, detail = fn(args.seed, trials)
     status = "PASS" if passed else "FAIL"
     print(f"suite {args.suite}: {status} (seed={args.seed})")

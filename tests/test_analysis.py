@@ -13,12 +13,10 @@ from ncpgd import (
     constant,
     detect_apocalypse,
     least_squares,
-    lipschitz_probe,
     norm,
     pgd,
     p2gd,
     proximal_normal_witness,
-    quartic,
     stationarity_measure_series,
 )
 
@@ -170,29 +168,7 @@ def test_unconverged_trace_not_flagged_with_note():
     assert "not converged" in flag.note
 
 
-# -- local Lipschitz probe ----------------------------------------------------
-
-
-def test_lipschitz_probe_least_squares():
-    obj = least_squares(Point.vector([0.3, -0.2]))
-    est = lipschitz_probe(obj, Point.zeros((2,)), radius=2.0, samples=1000)
-    assert 0.95 <= est <= 1.0 + 1e-9
-
-
-def test_lipschitz_probe_constant():
-    assert lipschitz_probe(constant(), Point.zeros((3,)), radius=1.0, samples=200) == 0.0
-
-
-def test_lipschitz_probe_quartic_unit_ball():
-    est = lipschitz_probe(quartic(), Point.zeros((2,)), radius=1.0, samples=1000)
-    assert 2.5 < est <= 3.0
-
-
-def test_lipschitz_probe_validation():
-    with pytest.raises(ValueError):
-        lipschitz_probe(constant(), Point.zeros((2,)), radius=0.0, samples=10)
-    with pytest.raises(ValueError):
-        lipschitz_probe(constant(), Point.zeros((2,)), radius=1.0, samples=0)
+# -- descent lemma and accepted steps -----------------------------------------
 
 
 def test_descent_lemma_for_least_squares(rng):

@@ -6,12 +6,21 @@ cli-certify workload runs; the third covers the projected-translation suite
 at a size a test can afford. A change to a suite's printed lines, its count of
 checks or its exit code shows as a diff; the Armijo suite's count of replayed
 steps also moves with its draws.
+
+The printed counts do not depend on the draws, so a changed draw sequence or
+oracle verdict that still passes would not show in the golden file. A SHA-256
+of each suite's per-trial facts, at the same seed and trial counts, pins them.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from ncpgd import Point, cli
 
 GOLDEN = Path(__file__).parent / "golden" / "check.txt"
 SRC = Path(__file__).parent.parent / "src"
@@ -38,3 +47,41 @@ def check_text(workdir: Path) -> str:
 
 def test_check_output_matches_golden_bytes(tmp_path):
     assert check_text(tmp_path) == GOLDEN.read_text(encoding="utf-8")
+
+
+# Per suite: the set reprs, the drawn points' bytes, the config and the verdicts.
+FACT_DIGESTS = {
+    "prox-equals-regular": "06d2b575b83f351f731234ed654e22b6f089dcf8f0b8e6226a660c7c8988e17b",
+    "armijo-postcondition": "04d0edcde23860516e23348184ec42e8e43312bd6dba621587fe2686f5d23c26",
+    "projected-translation": "944258ec9e10623bfb7303162d2caf56e8439a3bf0f544d94f10b4f78cd58b96",
+}
+
+
+def suite_facts(suite: str, seed: int, trials: int):
+    if suite == "projected-translation":
+        for t, set_, x, v, _, ok_dist, ok_ip in cli.projected_translation_trials(seed, trials):
+            yield t, set_, x, v, ok_dist, ok_ip
+    elif suite == "prox-equals-regular":
+        yield from cli.prox_equals_regular_trials(seed, trials)
+    else:
+        for t, set_, obj, cfg, trace in cli.armijo_postcondition_trials(seed, trials):
+            # A least-squares gradient at 0 is -target, exactly.
+            target = -obj.grad(Point.zeros(set_.ambient_shape))
+            verdicts = [violation for _, violation in cli.armijo_replay(set_, obj, cfg, trace)]
+            yield (t, set_, target, trace.iterates[0], cfg, verdicts, len(trace),
+                   trace.backtrack_counts, trace.termination.value)
+
+
+def facts_digest(rows) -> str:
+    h = hashlib.sha256()
+    for row in rows:
+        for item in row:
+            h.update(item.data.tobytes() if isinstance(item, Point) else repr(item).encode())
+            h.update(b"\0")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("args", CASES, ids=[args[1] for args in CASES])
+def test_check_suite_facts_match_pinned_digest(args):
+    suite, trials = args[1], int(args[3])
+    assert facts_digest(suite_facts(suite, 0, trials)) == FACT_DIGESTS[suite]

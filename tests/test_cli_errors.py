@@ -27,6 +27,8 @@ CASES = [
     ["solve", "--objective", "least-squares:target=1,0", "--x0", "0,1"],
     ["solve"] + SPARSE + ["--config", "unknown-key.cfg"],
     ["solve"] + SPARSE + ["--x0", "0,1", "--config", "missing.cfg"],
+    ["check", "--suite", "projected-translation", "--trials", "0"],
+    ["check", "--suite", "armijo-postcondition", "--trials", "-3"],
 ]
 
 

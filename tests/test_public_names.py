@@ -1,7 +1,12 @@
-"""The public names: set classes that load on first use, and the result records."""
+"""The public names: set classes that load on first use, the result records, and
+the README's Library example."""
 
+import contextlib
 import importlib
 import inspect
+import io
+import re
+from pathlib import Path
 
 import pytest
 
@@ -68,3 +73,17 @@ def test_records_keep_their_fields_and_stay_immutable(record, fields, defaults):
     for name in fields:
         with pytest.raises(AttributeError):
             setattr(instance, name, None)
+
+
+README = Path(__file__).parent.parent / "README.md"
+
+
+def test_readme_library_block_prints_what_its_comments_say():
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, str(README), "exec"), {})
+    comments = [line.split("#", 1)[1].strip() for line in block.splitlines()
+                if line.startswith("print(")]
+    assert out.getvalue().splitlines() == comments == ["stationary-at-tol P-stationary", "True"]
