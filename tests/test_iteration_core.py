@@ -6,6 +6,7 @@ finiteness check; and the refactor reproduces the committed README outputs
 and a plain-numpy replay of both solvers on both sparse sets bit for bit.
 """
 
+import hashlib
 import math
 from pathlib import Path
 
@@ -401,3 +402,51 @@ def test_nonneg_pgd_replays_bit_for_bit(seed, rule):
 @pytest.mark.parametrize("seed", range(4))
 def test_nonneg_p2gd_replays_bit_for_bit(seed):
     _check_p2gd_replay(seed, NonnegSparseSet)
+
+
+# -- traces on the matrix and curve sets ------------------------------------------
+
+# Seeded least-squares runs on the sets without a replay oracle. alpha_max 2.5
+# overshoots, so the searches backtrack; p2gd has no tangent projection on psd.
+DIGEST_RUNS = [(spec, algorithm) for spec in ("lowrank:m=6,n=5,r=2", "curve", "epigraph")
+               for algorithm in ("regular", "proximal", "p2gd")]
+DIGEST_RUNS += [("psd:n=5,r=2", "regular"), ("psd:n=5,r=2", "proximal")]
+TRACE_DIGEST = "aa7eaf5ac441a260fb08720db018889be9a20a10a83efd16037e2ef8ed43ec5b"
+
+
+def _trace_digest_runs():
+    for spec, algorithm in DIGEST_RUNS:
+        for rule in RULES:
+            for seed in range(2):
+                set_ = from_spec(spec)
+                shape = set_.ambient_shape
+                rng = np.random.default_rng(seed)
+                obj = least_squares(Point(rng.standard_normal(shape), shape))
+                x0 = set_.project(Point(rng.standard_normal(shape), shape))
+                cfg = SolverConfig(alpha_max=2.5, rule=rule, max_iters=40)
+                if algorithm == "p2gd":
+                    trace = p2gd(set_, obj, x0, cfg)
+                else:
+                    trace = pgd(set_, obj, x0, cfg, stationarity=algorithm)
+                yield f"{spec} {algorithm} {rule!r} {seed}", trace
+
+
+def test_traces_match_pinned_digest():
+    # One SHA-256 over every Trace field of every run: iterate shapes and
+    # bytes, f, mu, alpha, backtracks, stationarity measures and termination.
+    digest = hashlib.sha256()
+    terminations = set()
+    backtracks = 0
+    for label, trace in _trace_digest_runs():
+        digest.update(f"{label} {trace.termination.value} {len(trace)}\n".encode())
+        for x in trace.iterates:
+            digest.update(repr(x.shape).encode())
+            digest.update(np.ascontiguousarray(x.data, dtype=float).tobytes())
+        for values in (trace.f_values, trace.mu_values, trace.alphas, trace.stat_measures):
+            digest.update(np.array(values, dtype=float).tobytes())
+        digest.update(np.array(trace.backtrack_counts, dtype=np.int64).tobytes())
+        terminations.add(trace.termination)
+        backtracks += sum(trace.backtrack_counts)
+    assert terminations == {Termination.STATIONARY_AT_TOL, Termination.MAX_ITERS}
+    assert backtracks > 0
+    assert digest.hexdigest() == TRACE_DIGEST
