@@ -506,6 +506,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     trials = args.trials if args.trials is not None else default_trials
     if trials < 1:
         raise SpecError(f"--trials must be at least 1, got {trials}")
+    if args.seed < 0:
+        raise SpecError(f"--seed must be non-negative, got {args.seed}")
     passed, detail = fn(args.seed, trials)
     status = "PASS" if passed else "FAIL"
     print(f"suite {args.suite}: {status} (seed={args.seed})")

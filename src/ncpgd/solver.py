@@ -2,10 +2,12 @@
 
 The driver accepts a "max" rule (Armijo reference = max of f over a trailing
 window) or an "average" rule (exponential average of past values); both reduce
-to the monotone method for window 0 / weight 1. A tangent-space variant that
-first projects the negative gradient onto the tangent cone is included as a
-comparison baseline; unlike the plain method it can converge to limits whose
-negative gradient is far from the regular normal cone.
+to the monotone method for window 0 / weight 1. The comparison baseline p2gd
+is the same loop with three changes: it steps along the projection of the
+negative gradient onto the tangent cone, stops when that projection is small,
+and uses the monotone reference. Unlike the plain method it can converge to
+limits whose negative gradient is far from the regular normal cone. Every
+step of both goes through pgd_map, the one line search.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
-
-import numpy as np
 
 from .core import Objective, Point, _describe, norm
 from .sets.base import FeasibleSet, InfeasiblePointError, in_proximal_normal_witness
@@ -180,15 +180,27 @@ def mu_update_average(mu_prev: float, f_xi: float, weight: float) -> float:
     return (1.0 - weight) * mu_prev + weight * f_xi
 
 
-def _line_search(set_: FeasibleSet, obj: Objective, x: Point, g: Point, d: np.ndarray,
-                 mu: float, cfg: SolverConfig) -> StepResult:
-    """Backtracking projected line search from x along the direction d.
+def pgd_map(set_: FeasibleSet, obj: Objective, x: Point, mu: float,
+            cfg: SolverConfig, *, fx: float | None = None, g: Point | None = None,
+            v: Point | None = None) -> StepResult:
+    """One backtracking projected line search from x along the direction v.
 
-    Projects the trial points x + alpha*d for alpha = start, start*beta, ...
-    until f(y) <= mu + c * <g, y - x>, with g the gradient at x. Each trial
-    costs one projection and one f evaluation; the arithmetic runs on the
-    coordinate arrays. Raises BacktrackError past the backtracking budget.
+    Starting from the configured initial step, projects x + alpha*v onto the
+    set and shrinks alpha by beta until the Armijo condition
+    f(y) <= mu + c * <grad(x), y - x> holds. Each trial costs one projection
+    and one f evaluation. Requires x feasible and mu >= f(x); raises
+    BacktrackError past the backtracking budget. ``fx`` and ``g`` are f(x)
+    and grad(x) when the caller already holds them, and are computed when
+    omitted; ``v`` defaults to -grad(x) (p2gd passes its projection onto the
+    tangent cone).
     """
+    if fx is None:
+        fx = obj.eval(x)
+    if mu < fx - 1e-9 * max(1.0, abs(fx)):
+        raise ValueError(f"Armijo reference mu={mu} below f(x)={fx}")
+    if g is None:
+        g = obj.grad(x)
+    d = -g.data if v is None else v.data
     xd, gd, shape = x.data, g.data, x.shape
     project, f, c = set_.project, obj.eval, cfg.c
     alpha = cfg.start_alpha()
@@ -205,31 +217,72 @@ def _line_search(set_: FeasibleSet, obj: Objective, x: Point, g: Point, d: np.nd
         backtracks += 1
 
 
-def pgd_map(set_: FeasibleSet, obj: Objective, x: Point, mu: float,
-            cfg: SolverConfig, *, fx: float | None = None, g: Point | None = None,
-            v: Point | None = None) -> StepResult:
-    """One backtracking projected line search along the negative gradient.
+def _descend(set_: FeasibleSet, obj: Objective, x0: Point, cfg: SolverConfig,
+             rule: MaxRule | AverageRule, stop_test: str) -> Trace:
+    """The loop of pgd and p2gd: one pgd_map step per iterate until the stop test passes.
 
-    Starting from the configured initial step, projects x - alpha*grad(x)
-    onto the set and shrinks alpha by beta until the Armijo condition
-    f(y) <= mu + c * <grad(x), y - x> holds. Requires x feasible and
-    mu >= f(x); raises BacktrackError past the backtracking budget.
-    ``fx``, ``g`` and ``v`` are f(x), grad(x) and -grad(x) when the caller
-    already holds them; each is computed when omitted.
+    stop_test "regular" and "proximal" step along -grad(x); "tangent" steps
+    along its projection onto the tangent cone and stops on that projection's
+    norm. The Armijo reference follows ``rule``.
     """
-    if fx is None:
-        fx = obj.eval(x)
-    if mu < fx - 1e-9 * max(1.0, abs(fx)):
-        raise ValueError(f"Armijo reference mu={mu} below f(x)={fx}")
-    if g is None:
-        g = obj.grad(x)
-    d = -g.data if v is None else v.data
-    return _line_search(set_, obj, x, g, d, mu, cfg)
-
-
-def _check_start(set_: FeasibleSet, x0: Point):
     if not set_.contains(x0):
         raise InfeasiblePointError(f"x0 is not on {set_!r}: {_describe(x0)}")
+
+    iterates = [x0]
+    f_values = [obj.eval(x0)]
+    mu_values: list[float] = []
+    alphas = [math.nan]
+    backtracks = [0]
+    stats: list[float] = []
+    mu_prev = f_values[0]
+    window = rule.window if isinstance(rule, MaxRule) else None
+    debug = _log.isEnabledFor(logging.DEBUG)
+
+    i = 0
+    while True:
+        x = iterates[i]
+        g = obj.grad(x)
+        v = -g
+        d = set_.project_tangent(x, v) if stop_test == "tangent" else v
+        stat = set_.dist_regular_normal(x, v)
+        stats.append(stat)
+        if stop_test == "regular":
+            stop = stat <= cfg.stat_tol
+        elif stop_test == "proximal":
+            stop = in_proximal_normal_witness(set_, x, v, tol=cfg.stat_tol)
+        else:
+            stop = norm(d) <= cfg.stat_tol
+
+        if window is not None:
+            # mu_update_max without its argument checks.
+            mu = max(f_values[max(0, i - window):i + 1])
+        else:
+            mu = mu_update_average(mu_prev, f_values[i], rule.weight)
+        mu_values.append(mu)
+        mu_prev = mu
+
+        if stop:
+            term = Termination.STATIONARY_AT_TOL
+            break
+        if i >= cfg.max_iters:
+            term = Termination.MAX_ITERS
+            break
+        try:
+            step = pgd_map(set_, obj, x, mu, cfg, fx=f_values[i], g=g, v=d)
+        except BacktrackError as err:
+            _log.warning("backtracking stalled at iteration %d: %s", i, err)
+            term = Termination.BACKTRACK_FAILURE
+            break
+        iterates.append(step.y)
+        f_values.append(step.armijo_lhs)
+        alphas.append(step.alpha_accepted)
+        backtracks.append(step.backtracks)
+        if debug:
+            _log.debug("iter %d: f=%.6e alpha=%.3e backtracks=%d stat=%.3e",
+                       i + 1, step.armijo_lhs, step.alpha_accepted, step.backtracks, stat)
+        i += 1
+
+    return Trace(iterates, f_values, mu_values, alphas, backtracks, stats, term)
 
 
 def pgd(set_: FeasibleSet, obj: Objective, x0: Point, cfg: SolverConfig,
@@ -248,109 +301,20 @@ def pgd(set_: FeasibleSet, obj: Objective, x0: Point, cfg: SolverConfig,
     """
     if stationarity not in ("regular", "proximal"):
         raise ValueError(f"stationarity must be 'regular' or 'proximal', got {stationarity!r}")
-    _check_start(set_, x0)
-
-    iterates = [x0]
-    f_values = [obj.eval(x0)]
-    mu_values: list[float] = []
-    alphas = [math.nan]
-    backtracks = [0]
-    stats: list[float] = []
-    mu_prev = f_values[0]
-    window = cfg.rule.window if isinstance(cfg.rule, MaxRule) else None
-    debug = _log.isEnabledFor(logging.DEBUG)
-
-    i = 0
-    while True:
-        x = iterates[i]
-        g = obj.grad(x)
-        v = -g
-        stat = set_.dist_regular_normal(x, v)
-        stats.append(stat)
-        if stationarity == "regular":
-            stop = stat <= cfg.stat_tol
-        else:
-            stop = in_proximal_normal_witness(set_, x, v, tol=cfg.stat_tol)
-
-        if window is not None:
-            # mu_update_max without its argument checks.
-            mu = max(f_values[max(0, i - window):i + 1])
-        else:
-            mu = mu_update_average(mu_prev, f_values[i], cfg.rule.weight)
-        mu_values.append(mu)
-        mu_prev = mu
-
-        if stop:
-            term = Termination.STATIONARY_AT_TOL
-            break
-        if i >= cfg.max_iters:
-            term = Termination.MAX_ITERS
-            break
-        try:
-            step = pgd_map(set_, obj, x, mu, cfg, fx=f_values[i], g=g, v=v)
-        except BacktrackError as err:
-            _log.warning("backtracking stalled at iteration %d: %s", i, err)
-            term = Termination.BACKTRACK_FAILURE
-            break
-        iterates.append(step.y)
-        f_values.append(step.armijo_lhs)
-        alphas.append(step.alpha_accepted)
-        backtracks.append(step.backtracks)
-        if debug:
-            _log.debug("iter %d: f=%.6e alpha=%.3e backtracks=%d stat=%.3e",
-                       i + 1, step.armijo_lhs, step.alpha_accepted, step.backtracks, stat)
-        i += 1
-
-    return Trace(iterates, f_values, mu_values, alphas, backtracks, stats, term)
+    return _descend(set_, obj, x0, cfg, cfg.rule, stationarity)
 
 
 def p2gd(set_: FeasibleSet, obj: Objective, x0: Point, cfg: SolverConfig) -> Trace:
-    """Tangent-projected variant: line search along a projection of -grad.
+    """Tangent-projected variant: the pgd loop along a projection of -grad.
 
-    Each step projects -grad(x) onto the tangent cone, then backtracks over
-    y = project(x + alpha * g) against the monotone Armijo condition
-    f(y) <= f(x) + c * <grad(x), y - x>. Stops when the tangent-projected
-    gradient norm drops to ``cfg.stat_tol`` or on the iteration budget. The
-    recorded stationarity measures are regular-normal distances; they are
-    reported, not used to stop, because they can vanish along runs whose
-    limit is not stationary in that sense. Requires a set with tangent
-    projections. Raises InfeasiblePointError when x0 is not on the set.
+    Each step projects -grad(x) onto the tangent cone, giving d, then
+    backtracks over y = project(x + alpha * d) against the monotone Armijo
+    condition f(y) <= f(x) + c * <grad(x), y - x>, whatever ``cfg.rule``
+    says. Stops when the norm of d drops to ``cfg.stat_tol`` or on the
+    iteration budget. The recorded stationarity measures are regular-normal
+    distances; they are reported, not used to stop, because they can vanish
+    along runs whose limit is not stationary in that sense. Requires a set
+    with tangent projections. Raises InfeasiblePointError when x0 is not on
+    the set.
     """
-    _check_start(set_, x0)
-
-    iterates = [x0]
-    f_values = [obj.eval(x0)]
-    mu_values: list[float] = []
-    alphas = [math.nan]
-    backtracks = [0]
-    stats: list[float] = []
-
-    i = 0
-    while True:
-        x = iterates[i]
-        fx = f_values[i]
-        grad = obj.grad(x)
-        v = -grad
-        direction = set_.project_tangent(x, v)
-        stats.append(set_.dist_regular_normal(x, v))
-        mu_values.append(fx)
-
-        if norm(direction) <= cfg.stat_tol:
-            term = Termination.STATIONARY_AT_TOL
-            break
-        if i >= cfg.max_iters:
-            term = Termination.MAX_ITERS
-            break
-        try:
-            step = _line_search(set_, obj, x, grad, direction.data, fx, cfg)
-        except BacktrackError:
-            _log.warning("tangent-space backtracking stalled at iteration %d", i)
-            term = Termination.BACKTRACK_FAILURE
-            break
-        iterates.append(step.y)
-        f_values.append(step.armijo_lhs)
-        alphas.append(step.alpha_accepted)
-        backtracks.append(step.backtracks)
-        i += 1
-
-    return Trace(iterates, f_values, mu_values, alphas, backtracks, stats, term)
+    return _descend(set_, obj, x0, cfg, MaxRule(0), "tangent")

@@ -19,6 +19,7 @@ from ncpgd import (
     proximal_normal_witness,
     stationarity_measure_series,
 )
+from ncpgd.sets import from_spec
 
 TWO_AXIS = SparseSet(2, 1)
 OBJ = least_squares(Point.vector([1.0, 0.0]))
@@ -106,6 +107,33 @@ def test_p2gd_measure_series_vanishes_but_limit_measure_does_not():
 def test_single_point_trace_series():
     trace = pgd(TWO_AXIS, OBJ, Point.vector([1.0, 0.0]), fixed_step_config(1.0, 0.4))
     assert stationarity_measure_series(TWO_AXIS, OBJ, trace) == [0.0]
+
+
+SERIES_SPECS = ["sparse:n=8,s=3", "nonneg-sparse:n=8,s=3", "lowrank:m=5,n=4,r=2",
+                "psd:n=4,r=2", "curve", "epigraph"]
+
+
+@pytest.mark.parametrize("spec", SERIES_SPECS)
+def test_measure_series_equals_the_recorded_measures_bitwise(spec):
+    # The series recomputes what the solvers record; psd has no tangent
+    # projection, so p2gd runs on the other five sets.
+    set_ = from_spec(spec)
+    shape = set_.ambient_shape
+    algorithms = ["regular", "proximal"] + ([] if spec.startswith("psd") else ["p2gd"])
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        obj = least_squares(Point(rng.standard_normal(shape), shape))
+        x0 = set_.project(Point(rng.standard_normal(shape), shape))
+        cfg = SolverConfig(alpha_max=2.5, max_iters=40)
+        for algorithm in algorithms:
+            if algorithm == "p2gd":
+                trace = p2gd(set_, obj, x0, cfg)
+            else:
+                trace = pgd(set_, obj, x0, cfg, stationarity=algorithm)
+            series = stationarity_measure_series(set_, obj, trace)
+            assert len(series) == len(trace)
+            assert (np.array(series).view(np.int64).tolist()
+                    == np.array(trace.stat_measures).view(np.int64).tolist())
 
 
 # -- apocalypse detection -----------------------------------------------------

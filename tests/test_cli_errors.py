@@ -29,6 +29,7 @@ CASES = [
     ["solve"] + SPARSE + ["--x0", "0,1", "--config", "missing.cfg"],
     ["check", "--suite", "projected-translation", "--trials", "0"],
     ["check", "--suite", "armijo-postcondition", "--trials", "-3"],
+    ["check", "--suite", "projected-translation", "--seed", "-1", "--trials", "2"],
 ]
 
 

@@ -7,6 +7,7 @@ and a plain-numpy replay of both solvers on both sparse sets bit for bit.
 """
 
 import hashlib
+import logging
 import math
 from pathlib import Path
 
@@ -100,6 +101,30 @@ def test_counts_of_a_failed_line_search(solve):
     assert counted.grad_calls == len(trace)
     failed_trials = cfg.max_backtracks + 1
     assert counted.f_calls == len(trace) + sum(trace.backtrack_counts) + failed_trials
+
+
+@pytest.mark.parametrize("solve", [pgd, p2gd], ids=["pgd", "p2gd"])
+def test_a_failed_line_search_logs_one_warning(solve, caplog):
+    wrong = Objective(lambda x: 0.5 * float(x.data @ x.data), lambda x: -x, name="wrong-grad")
+    caplog.set_level(logging.DEBUG, logger="ncpgd.solver")
+    trace = solve(SparseSet(3, 2), wrong, Point([1.0, 2.0, 0.0]), SolverConfig(max_backtracks=5))
+    assert trace.termination is Termination.BACKTRACK_FAILURE
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+        ("ncpgd.solver", logging.WARNING,
+         "backtracking stalled at iteration 0: no Armijo step after 5 backtracks (alpha=3.125e-02)")]
+
+
+@pytest.mark.parametrize("solve", [pgd, p2gd], ids=["pgd", "p2gd"])
+def test_each_accepted_step_logs_one_debug_line(solve, caplog):
+    set_, obj, x0 = _sparse_instance(0)
+    caplog.set_level(logging.DEBUG, logger="ncpgd.solver")
+    trace = solve(set_, obj, x0, SolverConfig(alpha_max=2.5))
+    assert len(trace) > 2 and sum(trace.backtrack_counts) > 0
+    assert [r.getMessage() for r in caplog.records] == [
+        f"iter {k}: f={trace.f_values[k]:.6e} alpha={trace.alphas[k]:.3e} "
+        f"backtracks={trace.backtrack_counts[k]} stat={trace.stat_measures[k - 1]:.3e}"
+        for k in range(1, len(trace))]
+    assert {r.levelno for r in caplog.records} == {logging.DEBUG}
 
 
 def test_standalone_pgd_map_evaluates_what_it_is_not_given():
