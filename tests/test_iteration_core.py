@@ -1,9 +1,11 @@
 """The shared iteration core: evaluation counts, the unchecked Point path, golden outputs.
 
 pgd and p2gd evaluate the gradient once per iterate and f once per trial
-point; arithmetic on points skips the constructor's parsing but keeps its
-finiteness check; and the refactor reproduces the committed README outputs
-and a plain-numpy replay of both solvers on both sparse sets bit for bit.
+point, and log the same warning and per-step debug line; arithmetic on points
+skips the constructor's parsing but keeps its finiteness check; and the
+refactor reproduces the committed README outputs and a plain-numpy replay of
+both solvers on both sparse sets bit for bit. A digest pins their traces on
+the matrix and curve sets.
 """
 
 import hashlib
