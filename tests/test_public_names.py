@@ -29,6 +29,34 @@ def test_every_public_name_resolves_and_is_listed(module):
     assert set(module.__all__) <= set(namespace)
 
 
+# The public surface, spelled out: a name added to or removed from a module
+# and its __all__ together shows up here.
+PUBLIC_NAMES = {
+    ncpgd: [
+        "ApocalypseFlag", "AverageRule", "BacktrackError", "CurveSet", "EpigraphSet",
+        "FeasibleSet", "InfeasiblePointError", "LowRankSet", "MaxRule", "NonnegSparseSet",
+        "Objective", "Point", "PsdLowRankSet", "ShapeError", "SolverConfig", "SparseSet",
+        "StationarityReport", "StepResult", "Termination", "Trace", "WITNESS_ALPHA_GRID",
+        "check_gradient", "classify_stationarity", "constant", "detect_apocalypse",
+        "from_spec", "in_proximal_normal_witness", "inner", "least_squares",
+        "mu_update_average", "mu_update_max", "norm", "p2gd", "pgd", "pgd_map",
+        "projected_translation_check", "proximal_normal_witness", "quartic",
+        "stationarity_measure_series",
+    ],
+    ncpgd.sets: [
+        "CurveSet", "DEFAULT_TOL", "EpigraphSet", "FeasibleSet", "InfeasiblePointError",
+        "LowRankSet", "NonnegSparseSet", "PsdLowRankSet", "SparseSet", "WITNESS_ALPHA_GRID",
+        "from_spec", "in_proximal_normal_witness", "projected_translation_check",
+        "proximal_normal_witness",
+    ],
+}
+
+
+@pytest.mark.parametrize("module", [ncpgd, ncpgd.sets], ids=lambda m: m.__name__)
+def test_public_names_are_exactly_the_listed_ones(module):
+    assert sorted(module.__all__) == PUBLIC_NAMES[module]
+
+
 @pytest.mark.parametrize("name", sorted(SET_MODULES))
 def test_set_classes_are_the_ones_their_modules_define(name):
     defined = getattr(importlib.import_module(f"ncpgd.sets.{SET_MODULES[name]}"), name)
