@@ -42,8 +42,6 @@ from .solver import (
     StepResult,
     Termination,
     Trace,
-    mu_update_average,
-    mu_update_max,
     p2gd,
     pgd,
     pgd_map,
@@ -81,8 +79,6 @@ __all__ = [
     "in_proximal_normal_witness",
     "inner",
     "least_squares",
-    "mu_update_average",
-    "mu_update_max",
     "norm",
     "p2gd",
     "pgd",

@@ -255,8 +255,9 @@ class PsdLowRankSet(FeasibleSet):
 
         The last k eigenvectors span the range of x. A point made by this
         set's projection yields its r kept pairs; any other point yields its
-        memo (see ``_eigh``). ``full=True`` always decomposes and returns all
-        n pairs, for callers that need a basis of the kernel.
+        memo (see ``_eigh``). ``full=True`` returns all n pairs, for callers
+        that need a basis of the kernel: it reads a memo that already holds
+        all n eigenvectors, and otherwise decomposes and leaves one.
         """
         self._require_shape(x)
         t = self._tol(tol)

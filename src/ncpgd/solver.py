@@ -1,8 +1,10 @@
 """Projected gradient descent with nonmonotone backtracking line search.
 
-The driver accepts a "max" rule (Armijo reference = max of f over a trailing
-window) or an "average" rule (exponential average of past values); both reduce
-to the monotone method for window 0 / weight 1. The comparison baseline p2gd
+Each rule object defines its Armijo reference, rule.reference(f_values, mu),
+at the iterate whose value is f_values[-1], given the previous reference mu:
+MaxRule(window) takes max(f_values[-(window + 1):]) and AverageRule(weight)
+takes (1 - weight) * mu + weight * f_values[-1]. Both reduce to the monotone
+method for window 0 / weight 1. The comparison baseline p2gd
 is the same loop with three changes: it steps along the projection of the
 negative gradient onto the tangent cone, stops when that projection is small,
 and uses the monotone reference. Unlike the plain method it can converge to
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -35,12 +38,17 @@ __all__ = [
     "StepResult",
     "Trace",
     "BacktrackError",
-    "mu_update_max",
-    "mu_update_average",
     "pgd_map",
     "pgd",
     "p2gd",
 ]
+
+
+def _require_int(name: str, value) -> None:
+    try:
+        operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -50,8 +58,13 @@ class MaxRule:
     window: int = 0
 
     def __post_init__(self):
+        _require_int("window", self.window)
         if self.window < 0:
             raise ValueError(f"window must be >= 0, got {self.window}")
+
+    def reference(self, f_values: list[float], mu: float) -> float:
+        """The reference at the iterate whose value is f_values[-1]; mu is unused."""
+        return max(f_values[-(self.window + 1):])
 
 
 @dataclass(frozen=True)
@@ -63,6 +76,10 @@ class AverageRule:
     def __post_init__(self):
         if not 0.0 < self.weight <= 1.0:
             raise ValueError(f"weight must be in (0, 1], got {self.weight}")
+
+    def reference(self, f_values: list[float], mu: float) -> float:
+        """The reference at the iterate whose value is f_values[-1], given the previous one, mu."""
+        return (1.0 - self.weight) * mu + self.weight * f_values[-1]
 
 
 class Termination(Enum):
@@ -99,8 +116,10 @@ class SolverConfig:
             raise ValueError(f"c must be in (0, 1), got {self.c}")
         if not isinstance(self.rule, (MaxRule, AverageRule)):
             raise TypeError(f"rule must be MaxRule or AverageRule, got {self.rule!r}")
-        if self.stat_tol <= 0.0:
+        if not self.stat_tol > 0.0:
             raise ValueError(f"stat_tol must be positive, got {self.stat_tol}")
+        _require_int("max_iters", self.max_iters)
+        _require_int("max_backtracks", self.max_backtracks)
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be positive, got {self.max_iters}")
         if self.max_backtracks < 1:
@@ -164,22 +183,6 @@ class Trace:
         return self.iterates[-1]
 
 
-def mu_update_max(f_history, i: int, window: int) -> float:
-    """Max of f over the trailing window {max(0, i-window), ..., i}."""
-    if window < 0:
-        raise ValueError(f"window must be >= 0, got {window}")
-    if i < 0 or i >= len(f_history):
-        raise ValueError(f"index {i} outside history of length {len(f_history)}")
-    return max(f_history[max(0, i - window):i + 1])
-
-
-def mu_update_average(mu_prev: float, f_xi: float, weight: float) -> float:
-    """Convex combination (1 - weight) * mu_prev + weight * f_xi."""
-    if not 0.0 < weight <= 1.0:
-        raise ValueError(f"weight must be in (0, 1], got {weight}")
-    return (1.0 - weight) * mu_prev + weight * f_xi
-
-
 def pgd_map(set_: FeasibleSet, obj: Objective, x: Point, mu: float,
             cfg: SolverConfig, *, fx: float | None = None, g: Point | None = None,
             v: Point | None = None) -> StepResult:
@@ -223,7 +226,7 @@ def _descend(set_: FeasibleSet, obj: Objective, x0: Point, cfg: SolverConfig,
 
     stop_test "regular" and "proximal" step along -grad(x); "tangent" steps
     along its projection onto the tangent cone and stops on that projection's
-    norm. The Armijo reference follows ``rule``.
+    norm. The Armijo reference is ``rule.reference``.
     """
     if not set_.contains(x0):
         raise InfeasiblePointError(f"x0 is not on {set_!r}: {_describe(x0)}")
@@ -234,8 +237,7 @@ def _descend(set_: FeasibleSet, obj: Objective, x0: Point, cfg: SolverConfig,
     alphas = [math.nan]
     backtracks = [0]
     stats: list[float] = []
-    mu_prev = f_values[0]
-    window = rule.window if isinstance(rule, MaxRule) else None
+    mu = f_values[0]
     debug = _log.isEnabledFor(logging.DEBUG)
 
     i = 0
@@ -253,13 +255,8 @@ def _descend(set_: FeasibleSet, obj: Objective, x0: Point, cfg: SolverConfig,
         else:
             stop = norm(d) <= cfg.stat_tol
 
-        if window is not None:
-            # mu_update_max without its argument checks.
-            mu = max(f_values[max(0, i - window):i + 1])
-        else:
-            mu = mu_update_average(mu_prev, f_values[i], rule.weight)
+        mu = rule.reference(f_values, mu)
         mu_values.append(mu)
-        mu_prev = mu
 
         if stop:
             term = Termination.STATIONARY_AT_TOL

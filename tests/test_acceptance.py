@@ -32,7 +32,6 @@ from ncpgd import (
     in_proximal_normal_witness,
     inner,
     least_squares,
-    mu_update_max,
     norm,
     p2gd,
     pgd,
@@ -267,8 +266,8 @@ def test_criterion_6_nonmonotone_rules(nonmonotone_runs):
             assert trace.f_values[i] <= f0 + slack
             assert trace.mu_values[i] >= trace.f_values[i] - slack
         if isinstance(cfg.rule, MaxRule):
-            window_max = [mu_update_max(trace.f_values, i, cfg.rule.window)
-                          for i in range(len(trace))]
+            w, f = cfg.rule.window, trace.f_values
+            window_max = [max(f[max(0, i - w):i + 1]) for i in range(len(trace))]
             for i in range(1, len(trace)):
                 assert window_max[i] <= window_max[i - 1] + slack
         else:

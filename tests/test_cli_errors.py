@@ -30,6 +30,7 @@ CASES = [
     ["check", "--suite", "projected-translation", "--trials", "0"],
     ["check", "--suite", "armijo-postcondition", "--trials", "-3"],
     ["check", "--suite", "projected-translation", "--seed", "-1", "--trials", "2"],
+    ["solve"] + SPARSE + ["--x0", "0,1", "--stat-tol", "nan", "--max-iters", "5", "--out", "t.csv"],
 ]
 
 

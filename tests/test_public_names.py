@@ -39,9 +39,8 @@ PUBLIC_NAMES = {
         "StationarityReport", "StepResult", "Termination", "Trace", "WITNESS_ALPHA_GRID",
         "check_gradient", "classify_stationarity", "constant", "detect_apocalypse",
         "from_spec", "in_proximal_normal_witness", "inner", "least_squares",
-        "mu_update_average", "mu_update_max", "norm", "p2gd", "pgd", "pgd_map",
-        "projected_translation_check", "proximal_normal_witness", "quartic",
-        "stationarity_measure_series",
+        "norm", "p2gd", "pgd", "pgd_map", "projected_translation_check",
+        "proximal_normal_witness", "quartic", "stationarity_measure_series",
     ],
     ncpgd.sets: [
         "CurveSet", "DEFAULT_TOL", "EpigraphSet", "FeasibleSet", "InfeasiblePointError",

@@ -19,8 +19,6 @@ from ncpgd import (
     constant,
     inner,
     least_squares,
-    mu_update_average,
-    mu_update_max,
     norm,
     p2gd,
     pgd,
@@ -40,23 +38,23 @@ def fixed_step_config(alpha, c, rule=MaxRule(0), **kw):
 # -- Armijo reference updates -------------------------------------------------
 
 
-def test_mu_update_max_examples():
-    assert mu_update_max([3, 1, 2], 2, 1) == 2
-    assert mu_update_max([3, 1, 2], 2, 5) == 3
-    assert mu_update_max([3, 1, 2], 2, 0) == 2
-    assert mu_update_max([3, 1, 2], 0, 0) == 3
+def test_max_rule_reference_examples():
+    assert MaxRule(1).reference([3, 1, 2], math.nan) == 2
+    assert MaxRule(5).reference([3, 1, 2], math.nan) == 3
+    assert MaxRule(0).reference([3, 1, 2], math.nan) == 2
+    assert MaxRule(0).reference([3], math.nan) == 3
 
 
-def test_mu_update_average_examples():
-    assert mu_update_average(2.0, 0.0, 0.5) == 1.0
-    assert mu_update_average(2.0, 0.7, 1.0) == 0.7
-    assert mu_update_average(3.0, 3.0, 0.25) == 3.0
+def test_average_rule_reference_examples():
+    assert AverageRule(0.5).reference([0.0], 2.0) == 1.0
+    assert AverageRule(1.0).reference([5.0, 0.7], 2.0) == 0.7
+    assert AverageRule(0.25).reference([1.0, 3.0], 3.0) == 3.0
 
 
 @given(st.floats(min_value=-100, max_value=100), st.floats(min_value=-100, max_value=100),
        st.floats(min_value=1e-6, max_value=1.0))
-def test_mu_update_average_is_convex_combination(mu_prev, f_xi, p):
-    mu = mu_update_average(mu_prev, f_xi, p)
+def test_average_rule_reference_is_convex_combination(mu_prev, f_xi, p):
+    mu = AverageRule(p).reference([f_xi], mu_prev)
     lo, hi = min(mu_prev, f_xi), max(mu_prev, f_xi)
     assert lo - 1e-9 <= mu <= hi + 1e-9
     if f_xi <= mu_prev:
@@ -65,18 +63,18 @@ def test_mu_update_average_is_convex_combination(mu_prev, f_xi, p):
 
 @given(st.lists(st.floats(min_value=-10, max_value=10), min_size=1, max_size=12),
        st.integers(min_value=0, max_value=20))
-def test_mu_update_max_clips_window(history, window):
+def test_max_rule_reference_clips_window(history, window):
     i = len(history) - 1
-    assert mu_update_max(history, i, window) == max(history[max(0, i - window):])
+    assert MaxRule(window).reference(history, math.nan) == max(history[max(0, i - window):])
 
 
-def test_mu_update_validation():
+def test_rule_reference_validation():
     with pytest.raises(ValueError):
-        mu_update_max([1.0], 1, 0)
+        MaxRule(0).reference([], 1.0)
     with pytest.raises(ValueError):
-        mu_update_max([1.0], 0, -1)
+        MaxRule(-1)
     with pytest.raises(ValueError):
-        mu_update_average(1.0, 0.0, 0.0)
+        AverageRule(0.0)
 
 
 # -- configuration ------------------------------------------------------------
@@ -99,6 +97,17 @@ def test_config_validation():
         MaxRule(-1)
     with pytest.raises(ValueError):
         AverageRule(0.0)
+    with pytest.raises(ValueError, match="stat_tol must be positive, got nan"):
+        SolverConfig(stat_tol=math.nan)
+    for bad in (1.5, 2.0):
+        with pytest.raises(TypeError, match="window must be an integer"):
+            MaxRule(bad)
+    with pytest.raises(TypeError, match="max_iters must be an integer"):
+        SolverConfig(max_iters=2.5)
+    with pytest.raises(TypeError, match="max_backtracks must be an integer"):
+        SolverConfig(max_backtracks=1.5)
+    assert MaxRule(np.int64(2)).reference([3, 1, 2, 0], math.nan) == 2
+    assert SolverConfig(max_iters=np.int64(3), max_backtracks=np.int32(4)).max_iters == 3
     assert SolverConfig(initial_step=0.5).start_alpha() == 0.5
     assert SolverConfig().start_alpha() == 1.0
 
@@ -250,6 +259,19 @@ def test_p2gd_small_step_decays_to_the_kink():
         assert np.allclose(x.data, [0.0, (1 - alpha) ** i], atol=1e-12)
 
 
+@pytest.mark.parametrize("rule", [MaxRule(3), AverageRule(0.5)], ids=repr)
+def test_p2gd_keeps_the_monotone_reference_whatever_the_rule(rule, rng):
+    low_rank = LowRankSet(4, 3, 2)
+    target = Point(rng.standard_normal(12), (4, 3))
+    runs = [(TWO_AXIS, OBJ, START, fixed_step_config(0.45, 0.05, rule=rule, max_iters=25)),
+            (low_rank, least_squares(target), low_rank.random_point(rng),
+             SolverConfig(rule=rule, max_iters=50))]
+    for set_, obj, x0, cfg in runs:
+        trace = p2gd(set_, obj, x0, cfg)
+        assert len(trace) > 2
+        assert trace.mu_values == trace.f_values
+
+
 def test_p2gd_zero_gradient_start():
     trace = p2gd(TWO_AXIS, OBJ, TARGET, fixed_step_config(0.45, 0.05))
     assert len(trace) == 1
@@ -293,7 +315,8 @@ def test_trace_invariants_on_random_runs(rng):
             decay = trace.mu_values[i - 1] - cfg.c / (2.0 * trace.alphas[i]) * norm(gap) ** 2
             assert trace.f_values[i] <= decay + slack
         if isinstance(cfg.rule, MaxRule):
-            window = [mu_update_max(trace.f_values, i, cfg.rule.window) for i in range(n)]
+            w, f = cfg.rule.window, trace.f_values
+            window = [max(f[max(0, i - w):i + 1]) for i in range(n)]
             for i in range(1, n):
                 assert window[i] <= window[i - 1] + slack
         else:
