@@ -81,7 +81,8 @@ def merge_spec(args: argparse.Namespace) -> dict[str, str]:
     """The config file's values overridden by the flags given.
 
     The file may set exactly the keys the command has flags for; any other
-    key is rejected, and so is a value outside _CHOICE_FIELDS.
+    key is rejected, and so is a value outside _CHOICE_FIELDS, and so is a
+    stationarity test given to p2gd, which stops on its tangent direction.
     """
     keys = [name for name in vars(args) if name not in ("command", "fn", "config")]
     merged = read_config_file(args.config) if args.config else {}
@@ -97,6 +98,9 @@ def merge_spec(args: argparse.Namespace) -> dict[str, str]:
         if name in merged and merged[name] not in choices:
             raise SpecError(f"field {name!r}: expected {' or '.join(choices)}, "
                             f"got {merged[name]!r}")
+    if merged.get("algorithm") == "p2gd" and "stationarity" in merged:
+        raise SpecError("field 'stationarity' applies to algorithm pgd only "
+                        "(p2gd stops on the norm of its tangent direction)")
     return merged
 
 
@@ -227,11 +231,12 @@ def write_trace_csv(fh, trace: Trace, witness_flags: list[int]):
 
 
 def _witness_flags(set_: FeasibleSet, obj: Objective, trace: Trace, tol: float) -> list[int]:
-    flags = []
-    for x in trace.iterates:
-        ok = in_proximal_normal_witness(set_, x, -obj.grad(x), tol=tol)
-        flags.append(1 if ok else 0)
-    return flags
+    """The stat_proximal_witness column: 1 where -grad(x) is a proximal normal at tol.
+
+    Asks the set's closed-form in_proximal_normal, as classify_stationarity
+    does, so a row's flag and the label of that point agree.
+    """
+    return [int(set_.in_proximal_normal(x, -obj.grad(x), tol)) for x in trace.iterates]
 
 
 def _linesearch_targets(obj: Objective, trace: Trace) -> list[Point | None]:

@@ -94,7 +94,12 @@ class FeasibleSet(ABC):
         return self.dist_regular_normal(x, v, tol)
 
     def in_proximal_normal(self, x: Point, v: Point, tol: float | None = None) -> bool:
-        """Closed-form proximal-normal membership (exact, unlike the witness)."""
+        """Closed-form proximal-normal membership (exact, unlike the witness).
+
+        The one proximal decision of the solver and the analysis: pgd's
+        proximal stop, the CLI's stat_proximal_witness column and
+        classify_stationarity all ask it.
+        """
         return self.dist_regular_normal(x, v, tol) <= self._tol(tol)
 
     @abstractmethod
@@ -115,17 +120,10 @@ class FeasibleSet(ABC):
         """Random element of the regular normal cone at the feasible point x."""
 
 
-def _witness_test(set_: FeasibleSet, x: Point, v: Point, alphas, tol: float | None):
-    """The validated step grid and the per-step test of the two witness queries."""
+def _witness_test(set_: FeasibleSet, x: Point, v: Point, tol: float | None):
+    """The per-step test of the two witness queries: does step a certify v at x?"""
     tol = set_._tol(tol)
     nv = norm(v)
-    # The default grid is valid by construction; only a caller's grid is checked.
-    if alphas is not WITNESS_ALPHA_GRID:
-        alphas = tuple(float(a) for a in alphas)
-        if not all(a > 0.0 for a in alphas):
-            raise ValueError("witness step lengths must be positive")
-        if any(b >= a for a, b in zip(alphas, alphas[1:])):
-            raise ValueError("witness step lengths must be strictly decreasing")
 
     def certifies(a: float) -> bool:
         if nv == 0.0:
@@ -137,26 +135,25 @@ def _witness_test(set_: FeasibleSet, x: Point, v: Point, alphas, tol: float | No
         gap = a * nv - norm(z - set_.project(z))
         return gap <= tol * a * max(1.0, nv)
 
-    return alphas, certifies
+    return certifies
 
 
 def proximal_normal_witness(set_: FeasibleSet, x: Point, v: Point,
-                            alphas=WITNESS_ALPHA_GRID, tol: float | None = None) -> float | None:
-    """Largest step length of the grid certifying v as a proximal normal at x.
+                            tol: float | None = None) -> float | None:
+    """Largest step length of WITNESS_ALPHA_GRID certifying v as a proximal normal at x.
 
     A step a certifies when x is in P_C(x + a*v): the achieved distance
     d(x + a*v, C) must match a*||v|| up to tol * a * max(1, ||v||), a test
-    relative to a so that it does not become vacuous at small a. ``alphas``
-    must be positive and strictly decreasing; returns the largest certifying
-    entry, else None.
+    relative to a so that it does not become vacuous at small a. Returns the
+    largest certifying step of the grid 1, 1/2, ..., 2^-20, else None.
 
     The certifying steps are closed downward: phi(a) = d(x + a*v, C)^2 -
     a^2 ||v||^2 is a minimum of affine functions of a, so it is concave with
     phi(0) = 0, and the exact certifying steps form an interval (0, a*]
     (Rockafellar & Wets, Variational Analysis, Ex. 6.16). So the search tests
-    alphas[0] (a hit returns it: 1 projection), then alphas[-1] (a miss
-    returns None: 2 projections), and otherwise bisects between them: at most
-    2 + ceil(log2(len(alphas) - 1)) projections, 7 on the default grid.
+    the first step (a hit returns it: 1 projection), then the last (a miss
+    returns None: 2 projections), and otherwise bisects between them: at
+    most 7 projections.
 
     Its answer equals the first certifying entry of a scan over the grid
     except where roundoff decides the test: when tol * a * max(1, ||v||) at
@@ -164,32 +161,34 @@ def proximal_normal_witness(set_: FeasibleSet, x: Point, v: Point,
     1e-12, or ||v|| near 1e-9 at the default tol), the smallest step can fail
     while a larger one certifies, and the search returns None.
 
-    This is a sufficient certificate usable on any set; directions that sit
-    on a removed boundary ray of a non-closed proximal cone can defeat it at
-    very small step lengths, which is why the 2-D example sets also carry a
-    closed-form in_proximal_normal.
+    This is a sampled certificate usable on any set, and a loose one: the
+    gap is second order in the tangent part of v, so a v whose regular-normal
+    distance is about sqrt(2 * tol) * ||v|| still certifies. Directions on a
+    removed boundary ray of a non-closed proximal cone can defeat it at very
+    small step lengths. The solver's proximal stop, the CSV column and
+    classify_stationarity ask the set's closed-form in_proximal_normal
+    instead; only ``ncpgd cones`` and ``ncpgd check`` run this witness.
     """
-    alphas, certifies = _witness_test(set_, x, v, alphas, tol)
-    if not alphas:
-        return None
-    if certifies(alphas[0]):
-        return alphas[0]
-    # Invariant: alphas[miss] fails and alphas[hit] certifies.
-    miss, hit = 0, len(alphas) - 1
-    if hit == 0 or not certifies(alphas[hit]):
+    grid = WITNESS_ALPHA_GRID
+    certifies = _witness_test(set_, x, v, tol)
+    if certifies(grid[0]):
+        return grid[0]
+    # Invariant: grid[miss] fails and grid[hit] certifies.
+    miss, hit = 0, len(grid) - 1
+    if not certifies(grid[hit]):
         return None
     while hit - miss > 1:
         mid = (miss + hit) // 2
-        if certifies(alphas[mid]):
+        if certifies(grid[mid]):
             hit = mid
         else:
             miss = mid
-    return alphas[hit]
+    return grid[hit]
 
 
 def in_proximal_normal_witness(set_: FeasibleSet, x: Point, v: Point,
-                               alphas=WITNESS_ALPHA_GRID, tol: float | None = None) -> bool:
-    """Whether some step of the grid certifies v as a proximal normal at x.
+                               tol: float | None = None) -> bool:
+    """Whether some step of WITNESS_ALPHA_GRID certifies v as a proximal normal at x.
 
     Equals ``proximal_normal_witness(...) is not None``, which the search
     decides from the first and the last step alone. This tests the last
@@ -197,8 +196,8 @@ def in_proximal_normal_witness(set_: FeasibleSet, x: Point, v: Point,
     certifies, 2 otherwise. Callers that need only this truth value skip the
     bisection.
     """
-    alphas, certifies = _witness_test(set_, x, v, alphas, tol)
-    return bool(alphas) and (certifies(alphas[-1]) or certifies(alphas[0]))
+    certifies = _witness_test(set_, x, v, tol)
+    return certifies(WITNESS_ALPHA_GRID[-1]) or certifies(WITNESS_ALPHA_GRID[0])
 
 
 def projected_translation_check(set_: FeasibleSet, x: Point, v: Point,

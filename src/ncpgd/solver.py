@@ -22,10 +22,10 @@ from enum import Enum
 from typing import NamedTuple
 
 from .core import Objective, Point, _describe, norm
-from .sets.base import FeasibleSet, InfeasiblePointError, in_proximal_normal_witness
-# proximal_normal_witness is not called here, since the proximal stop asks only
-# whether a step certifies; the name stays bound because the benchmark tracer
-# patches solver.proximal_normal_witness.
+from .sets.base import FeasibleSet, InfeasiblePointError
+# proximal_normal_witness is not called here, since the proximal stop asks the
+# set's closed-form in_proximal_normal; the name stays bound because the
+# benchmark tracer patches solver.proximal_normal_witness.
 from .sets.base import proximal_normal_witness  # noqa: F401
 
 _log = logging.getLogger(__name__)
@@ -165,7 +165,10 @@ class Trace:
     is NaN and its backtrack count 0 because no step produced it. The mu of
     the final row is the Armijo reference that a further step would have used.
     ``stat_measures`` holds the distance from -grad(x) to the regular normal
-    cone at each iterate, whichever stopping test the run used.
+    cone at each iterate, whichever stopping test the run used: the regular
+    stop compares it with ``stat_tol``, the proximal stop asks the set's
+    closed-form ``in_proximal_normal`` and p2gd the norm of its tangent
+    direction.
     """
 
     iterates: list[Point]
@@ -251,7 +254,7 @@ def _descend(set_: FeasibleSet, obj: Objective, x0: Point, cfg: SolverConfig,
         if stop_test == "regular":
             stop = stat <= cfg.stat_tol
         elif stop_test == "proximal":
-            stop = in_proximal_normal_witness(set_, x, v, tol=cfg.stat_tol)
+            stop = set_.in_proximal_normal(x, v, cfg.stat_tol)
         else:
             stop = norm(d) <= cfg.stat_tol
 
@@ -288,13 +291,16 @@ def pgd(set_: FeasibleSet, obj: Objective, x0: Point, cfg: SolverConfig,
 
     The loop stops once the stationarity test at the current iterate passes:
     by default when the distance from -grad(x) to the regular normal cone is
-    at most ``cfg.stat_tol``; with ``stationarity="proximal"`` when the
-    sampling-based proximal-normal certificate succeeds (the right test when
-    the gradient is locally Lipschitz). That certificate costs 1 projection
-    at an iterate where the smallest grid step certifies and 2 otherwise (see
-    in_proximal_normal_witness). Exact cone membership is not numerically
-    decidable, hence the tolerance. Raises InfeasiblePointError when x0 is
-    not on the set.
+    at most ``cfg.stat_tol``; with ``stationarity="proximal"`` when
+    ``set_.in_proximal_normal(x, -grad(x), cfg.stat_tol)`` holds (the right
+    test when the gradient is locally Lipschitz). That closed form is the one
+    classify_stationarity reads, and it makes no projection. On the sparse
+    and low-rank sets it is the regular-normal distance at most
+    ``cfg.stat_tol``, with ``cfg.stat_tol`` also as the query's rank or
+    support tolerance; at the kink of the curve and the epigraph it also
+    rejects the boundary ray that the proximal cone lacks. Exact cone
+    membership is not numerically decidable, hence the tolerance. Raises
+    InfeasiblePointError when x0 is not on the set.
     """
     if stationarity not in ("regular", "proximal"):
         raise ValueError(f"stationarity must be 'regular' or 'proximal', got {stationarity!r}")

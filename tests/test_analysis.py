@@ -9,6 +9,7 @@ from ncpgd import (
     Point,
     SolverConfig,
     SparseSet,
+    Termination,
     classify_stationarity,
     constant,
     detect_apocalypse,
@@ -134,6 +135,28 @@ def test_measure_series_equals_the_recorded_measures_bitwise(spec):
             assert len(series) == len(trace)
             assert (np.array(series).view(np.int64).tolist()
                     == np.array(trace.stat_measures).view(np.int64).tolist())
+
+
+@pytest.mark.parametrize("spec", SERIES_SPECS)
+def test_a_proximal_stop_classifies_p_stationary(spec):
+    # The stop and the label ask the same closed form, at stat_tol and at
+    # ten times it.
+    set_ = from_spec(spec)
+    shape = set_.ambient_shape
+    rng = np.random.default_rng(2403)
+    stopped = 0
+    for t in range(24):
+        obj = least_squares(Point(rng.standard_normal(shape), shape))
+        x0 = set_.random_point(rng)
+        cfg = SolverConfig(alpha_max=float(rng.choice([0.1, 0.3, 0.7, 1.3])),
+                           rule=MaxRule(t % 3), stat_tol=float(rng.choice([1e-8, 1e-6])),
+                           max_iters=300)
+        trace = pgd(set_, obj, x0, cfg, stationarity="proximal")
+        if trace.termination is Termination.STATIONARY_AT_TOL:
+            stopped += 1
+            report = classify_stationarity(set_, obj, trace.final(), tol=10.0 * cfg.stat_tol)
+            assert report.classification == "P-stationary", (t, report.d_regular)
+    assert stopped >= 12
 
 
 # -- apocalypse detection -----------------------------------------------------

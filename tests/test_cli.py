@@ -186,6 +186,8 @@ def test_bad_value_same_message_from_flag_and_file(key, text, tmp_path, capsys):
 
 
 STATIONARITY_ERROR = "field 'stationarity': expected regular or proximal, got 'prox'"
+P2GD_STATIONARITY_ERROR = ("field 'stationarity' applies to algorithm pgd only "
+                           "(p2gd stops on the norm of its tangent direction)")
 
 
 @pytest.mark.parametrize("command,values,message", [
@@ -193,6 +195,8 @@ STATIONARITY_ERROR = "field 'stationarity': expected regular or proximal, got 'p
     ("solve", {"algorithm": "p2gd", "stationarity": "prox"}, STATIONARITY_ERROR),
     ("solve", {"algorithm": "pg"}, "field 'algorithm': expected pgd or p2gd, got 'pg'"),
     ("compare", {"stationarity": "prox"}, STATIONARITY_ERROR),
+    ("solve", {"algorithm": "p2gd", "stationarity": "regular"}, P2GD_STATIONARITY_ERROR),
+    ("solve", {"algorithm": "p2gd", "stationarity": "proximal"}, P2GD_STATIONARITY_ERROR),
 ])
 def test_bad_choice_same_message_from_flag_and_file(command, values, message, tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
@@ -206,6 +210,27 @@ def test_bad_choice_same_message_from_flag_and_file(command, values, message, tm
     assert code_file == code_flag == cli.EXIT_USAGE
     assert out_file == out_flag == ""
     assert err_file == err_flag == f"error: {message}\n"
+
+
+# A stationary point off the target's best support: (0, 1, 0) is P-stationary.
+SLOW_SPARSE = ["--set", "sparse:n=3,s=1", "--objective", "least-squares:target=2,1,0.5",
+               "--x0", "0,0.5,0", "--alpha-min", "0.1", "--alpha-max", "0.1"]
+
+
+def test_proximal_stop_ends_where_the_label_is_p_stationary(capsys):
+    # The stop and the summary's label ask the same closed form; on the sparse
+    # set it is the regular stop.
+    code, out, err = run_cli(["solve"] + SLOW_SPARSE + ["--stationarity", "proximal"], capsys)
+    assert code == cli.EXIT_OK
+    summary = err.splitlines()[-1]
+    assert "termination=stationary-at-tol steps=169 " in summary
+    assert "classification=P-stationary" in summary
+    assert float(summary.rsplit("d-regular=", 1)[1]) <= 1e-7
+    assert run_cli(["solve"] + SLOW_SPARSE + ["--stationarity", "regular"], capsys) == (code, out, err)
+    # compare applies the stationarity test to its pgd side.
+    code, _, err = run_cli(["compare"] + SLOW_SPARSE + ["--stationarity", "proximal"], capsys)
+    assert code == cli.EXIT_OK
+    assert err.splitlines()[0] == summary
 
 
 @pytest.mark.parametrize("command", ["solve", "compare"])

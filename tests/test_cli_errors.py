@@ -31,6 +31,7 @@ CASES = [
     ["check", "--suite", "armijo-postcondition", "--trials", "-3"],
     ["check", "--suite", "projected-translation", "--seed", "-1", "--trials", "2"],
     ["solve"] + SPARSE + ["--x0", "0,1", "--stat-tol", "nan", "--max-iters", "5", "--out", "t.csv"],
+    ["solve"] + SPARSE + ["--x0", "0,1", "--algorithm", "p2gd", "--stationarity", "proximal"],
 ]
 
 

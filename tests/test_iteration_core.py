@@ -438,7 +438,7 @@ def test_nonneg_p2gd_replays_bit_for_bit(seed):
 DIGEST_RUNS = [(spec, algorithm) for spec in ("lowrank:m=6,n=5,r=2", "curve", "epigraph")
                for algorithm in ("regular", "proximal", "p2gd")]
 DIGEST_RUNS += [("psd:n=5,r=2", "regular"), ("psd:n=5,r=2", "proximal")]
-TRACE_DIGEST = "aa7eaf5ac441a260fb08720db018889be9a20a10a83efd16037e2ef8ed43ec5b"
+TRACE_DIGEST = "717fff7baa5638ee13c6c2c329c6664cae5e59406c720b851b7676736d87e6a9"
 
 
 def _trace_digest_runs():

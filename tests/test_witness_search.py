@@ -23,13 +23,11 @@ from ncpgd import (
     PsdLowRankSet,
     SolverConfig,
     SparseSet,
-    Termination,
     in_proximal_normal_witness,
     least_squares,
     norm,
     pgd,
     proximal_normal_witness,
-    solver,
 )
 from ncpgd import cli
 
@@ -182,70 +180,24 @@ def test_truth_value_projection_count(v, alpha, projections, monkeypatch):
     assert len(calls) == projections
 
 
-def _count_witness_projections(monkeypatch, calls):
-    """(projections, answer) of each proximal stop test that pgd makes."""
-    per_call = []
-    real = solver.in_proximal_normal_witness
-
-    def counted(*args, **kwargs):
-        before = len(calls)
-        ok = real(*args, **kwargs)
-        per_call.append((len(calls) - before, ok))
-        return ok
-
-    monkeypatch.setattr(solver, "in_proximal_normal_witness", counted)
-    return per_call
-
-
-def test_pgd_proximal_test_costs_two_projections_per_iterate(monkeypatch):
+def test_proximal_stop_and_csv_column_make_no_projection(monkeypatch):
+    # Both ask the closed-form in_proximal_normal, so every projection of a
+    # proximal-stop run is the start check's or a line-search trial's.
     set_ = LowRankSet(8, 6, 2)
     rng = np.random.default_rng(8602)
     obj = least_squares(Point(rng.standard_normal(48), (8, 6)))
     x0 = set_.random_point(rng)
-    cfg = SolverConfig(alpha_max=0.3, max_iters=12)
+    cfg = SolverConfig(alpha_max=2.5, max_iters=12)
     calls = _count_projections(monkeypatch, set_)
-    per_call = _count_witness_projections(monkeypatch, calls)
+    set_.contains(x0)
+    start_check = len(calls)
+    del calls[:]
     trace = pgd(set_, obj, x0, cfg, stationarity="proximal")
-    assert trace.termination is Termination.MAX_ITERS
-    assert len(per_call) == len(trace)
-    assert all(not ok and count == 2 for count, ok in per_call)
-
-
-def test_pgd_proximal_stop_costs_one_projection_on_the_final_iterate(monkeypatch):
-    # One unit step lands on (1, 0), where v = (0, 0.5) moves x + a*v off the
-    # set only along the zero coordinate: the smallest grid step certifies.
-    set_ = SparseSet(2, 1)
-    obj = least_squares(Point.vector([1.0, 0.5]))
-    calls = _count_projections(monkeypatch, set_)
-    per_call = _count_witness_projections(monkeypatch, calls)
-    trace = pgd(set_, obj, Point.vector([0.0, 1.0]), SolverConfig(), stationarity="proximal")
-    assert trace.termination is Termination.STATIONARY_AT_TOL
-    assert trace.final().data.tolist() == [1.0, 0.0]
-    assert per_call == [(2, False), (1, True)]
-
-
-# -- grid contract --------------------------------------------------------------
-
-
-@pytest.mark.parametrize("alphas", [[0.5, 0.5], [0.25, 0.5], [1.0, 0.5, 0.75],
-                                    [1.0, math.nan], [0.5, 0.0], [0.5, -1.0]])
-def test_grid_must_be_positive_and_strictly_decreasing(alphas):
-    set_ = SparseSet(2, 1)
-    x = Point.vector([1.0, 0.0])
-    for v in (Point.vector([0.0, 0.0]), Point.vector([0.0, 1.0])):
-        with pytest.raises(ValueError, match="step lengths"):
-            proximal_normal_witness(set_, x, v, alphas=alphas)
-
-
-def test_short_grids():
-    set_ = SparseSet(2, 1)
-    x = Point.vector([1.0, 0.0])
-    assert proximal_normal_witness(set_, x, Point.vector([0.0, 3.0]), alphas=()) is None
-    for alphas in ([0.5], [0.5, 0.25], [0.5, 0.25, 0.125]):
-        for v in ((0.0, 3.0), (0.0, 0.5), (1.0, 0.0)):
-            v = Point.vector(v)
-            assert (proximal_normal_witness(set_, x, v, alphas=alphas)
-                    == witness_scan(set_, x, v, alphas))
+    assert len(trace) > 1 and sum(trace.backtrack_counts) > 0
+    assert len(calls) == start_check + len(trace) - 1 + sum(trace.backtrack_counts)
+    del calls[:]
+    assert len(cli._witness_flags(set_, obj, trace, 10.0 * cfg.stat_tol)) == len(trace)
+    assert calls == []
 
 
 # -- a direction whose norm overflows ---------------------------------------------
