@@ -27,6 +27,13 @@ __all__ = [
 DEFAULT_CLASSIFY_TOL = 1e-7
 
 
+def _require_tol(tol: float):
+    # An infinite tol would label any point P-stationary, and a NaN one would
+    # fail the membership test of a point on the set.
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be in (0, inf), got {tol}")
+
+
 class StationarityReport(NamedTuple):
     """How -grad(f) at a feasible point sits relative to the three normal cones.
 
@@ -55,7 +62,11 @@ class ApocalypseFlag(NamedTuple):
 
 def classify_stationarity(set_: FeasibleSet, obj: Objective, x: Point,
                           tol: float = DEFAULT_CLASSIFY_TOL) -> StationarityReport:
-    """Evaluate -grad(x) against the proximal, regular, and general normal cones."""
+    """Evaluate -grad(x) against the proximal, regular, and general normal cones.
+
+    Raises ValueError unless 0 < tol < inf.
+    """
+    _require_tol(tol)
     if not set_.contains(x, tol):
         raise InfeasiblePointError(f"cannot classify: point not on {set_!r}")
     v = -obj.grad(x)
@@ -98,8 +109,9 @@ def detect_apocalypse(set_: FeasibleSet, obj: Objective, trace: Trace,
     iterates; the flag is raised when the regular-normal measure series
     (``trace.stat_measures``) ends below tol while the measure at the limit
     exceeds 10*tol. A trace whose tail has not settled (diameter >= tol) is
-    never flagged.
+    never flagged. Raises ValueError unless 0 < tol < inf.
     """
+    _require_tol(tol)
     tail = trace.iterates[-5:]
     diameter = 0.0
     for i in range(len(tail)):

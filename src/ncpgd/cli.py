@@ -23,7 +23,6 @@ from .sets import (
 from .sets.base import _projected_translation
 from .solver import (
     AverageRule,
-    BacktrackError,
     MaxRule,
     SolverConfig,
     Termination,
@@ -321,6 +320,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     else:
         trace = p2gd(set_, obj, x0, cfg)
     classify_tol = 10.0 * cfg.stat_tol
+    # Classified before anything is written, so a tolerance that classify
+    # rejects (10 * stat_tol overflowed) leaves no partial output.
+    summary = _summary_line(algorithm, set_, obj, trace, classify_tol)
     flags = _witness_flags(set_, obj, trace, classify_tol)
     out = merged.get("out")
     if out:
@@ -329,8 +331,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         _log.info("trace written to %s", out)
     else:
         write_trace_csv(sys.stdout, trace, flags)
-    print(_summary_line(algorithm, set_, obj, trace, classify_tol),
-          file=sys.stdout if out else sys.stderr)
+    print(summary, file=sys.stdout if out else sys.stderr)
     plot_path = merged.get("emit_plot_data")
     if plot_path:
         with open(plot_path, "w", newline="", encoding="utf-8") as fh:
@@ -345,6 +346,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
     traces = {"pgd": pgd(set_, obj, x0, cfg, stationarity=merged.get("stationarity", "regular")),
               "p2gd": p2gd(set_, obj, x0, cfg)}
     classify_tol = 10.0 * cfg.stat_tol
+    # Classified before anything is written, as in cmd_solve.
+    report = []
+    for name, trace in traces.items():
+        report.append(_summary_line(name, set_, obj, trace, classify_tol))
+        flag = detect_apocalypse(set_, obj, trace, tol=classify_tol)
+        note = f" note={flag.note!r}" if flag.note else ""
+        report.append(f"apocalypse {name}: flagged={str(flag.flagged).lower()} "
+                      f"limit={_fmt_point(flag.limit_point)} "
+                      f"measure-at-limit={_fmt(flag.measure_at_limit)}{note}")
     # One set of targets serves both CSV writers.
     targets = {name: _linesearch_targets(obj, tr) for name, tr in traces.items()}
     out = merged.get("out")
@@ -357,16 +367,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if plot_path:
         with open(plot_path, "w", newline="", encoding="utf-8") as fh:
             write_plot_data_csv(fh, traces, targets)
-    stream = sys.stdout if out else sys.stderr
-    failed = False
-    for name, trace in traces.items():
-        print(_summary_line(name, set_, obj, trace, classify_tol), file=stream)
-        flag = detect_apocalypse(set_, obj, trace, tol=classify_tol)
-        note = f" note={flag.note!r}" if flag.note else ""
-        print(f"apocalypse {name}: flagged={str(flag.flagged).lower()} "
-              f"limit={_fmt_point(flag.limit_point)} "
-              f"measure-at-limit={_fmt(flag.measure_at_limit)}{note}", file=stream)
-        failed = failed or trace.termination is Termination.BACKTRACK_FAILURE
+    print("\n".join(report), file=sys.stdout if out else sys.stderr)
+    failed = any(tr.termination is Termination.BACKTRACK_FAILURE for tr in traces.values())
     return EXIT_SOLVER if failed else EXIT_OK
 
 
@@ -596,9 +598,6 @@ def main(argv=None) -> int:
     except (ValueError, NotImplementedError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except BacktrackError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_SOLVER
     except np.linalg.LinAlgError as err:
         print(f"error: decomposition failed: {err}", file=sys.stderr)
         return EXIT_SOLVER

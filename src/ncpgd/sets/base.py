@@ -144,22 +144,10 @@ def proximal_normal_witness(set_: FeasibleSet, x: Point, v: Point,
 
     A step a certifies when x is in P_C(x + a*v): the achieved distance
     d(x + a*v, C) must match a*||v|| up to tol * a * max(1, ||v||), a test
-    relative to a so that it does not become vacuous at small a. Returns the
-    largest certifying step of the grid 1, 1/2, ..., 2^-20, else None.
-
-    The certifying steps are closed downward: phi(a) = d(x + a*v, C)^2 -
-    a^2 ||v||^2 is a minimum of affine functions of a, so it is concave with
-    phi(0) = 0, and the exact certifying steps form an interval (0, a*]
-    (Rockafellar & Wets, Variational Analysis, Ex. 6.16). So the search tests
-    the first step (a hit returns it: 1 projection), then the last (a miss
-    returns None: 2 projections), and otherwise bisects between them: at
-    most 7 projections.
-
-    Its answer equals the first certifying entry of a scan over the grid
-    except where roundoff decides the test: when tol * a * max(1, ||v||) at
-    the smallest steps falls below the rounding error of x + a*v (tol near
-    1e-12, or ||v|| near 1e-9 at the default tol), the smallest step can fail
-    while a larger one certifies, and the search returns None.
+    relative to a so that it does not become vacuous at small a. Scans the
+    grid 1, 1/2, ..., 2^-20 from the largest step down and returns the first
+    step that certifies, else None: k + 1 projections for an answer of 2^-k,
+    21 for None.
 
     This is a sampled certificate usable on any set, and a loose one: the
     gap is second order in the tangent part of v, so a v whose regular-normal
@@ -169,35 +157,20 @@ def proximal_normal_witness(set_: FeasibleSet, x: Point, v: Point,
     classify_stationarity ask the set's closed-form in_proximal_normal
     instead; only ``ncpgd cones`` and ``ncpgd check`` run this witness.
     """
-    grid = WITNESS_ALPHA_GRID
     certifies = _witness_test(set_, x, v, tol)
-    if certifies(grid[0]):
-        return grid[0]
-    # Invariant: grid[miss] fails and grid[hit] certifies.
-    miss, hit = 0, len(grid) - 1
-    if not certifies(grid[hit]):
-        return None
-    while hit - miss > 1:
-        mid = (miss + hit) // 2
-        if certifies(grid[mid]):
-            hit = mid
-        else:
-            miss = mid
-    return grid[hit]
+    return next((a for a in WITNESS_ALPHA_GRID if certifies(a)), None)
 
 
 def in_proximal_normal_witness(set_: FeasibleSet, x: Point, v: Point,
                                tol: float | None = None) -> bool:
     """Whether some step of WITNESS_ALPHA_GRID certifies v as a proximal normal at x.
 
-    Equals ``proximal_normal_witness(...) is not None``, which the search
-    decides from the first and the last step alone. This tests the last
-    (smallest) step, then the first: 1 projection when the smallest step
-    certifies, 2 otherwise. Callers that need only this truth value skip the
-    bisection.
+    Equals ``proximal_normal_witness(...) is not None``, but scans the grid
+    from the smallest step up: 1 projection when the smallest step certifies,
+    21 when no step does.
     """
     certifies = _witness_test(set_, x, v, tol)
-    return certifies(WITNESS_ALPHA_GRID[-1]) or certifies(WITNESS_ALPHA_GRID[0])
+    return any(certifies(a) for a in reversed(WITNESS_ALPHA_GRID))
 
 
 def projected_translation_check(set_: FeasibleSet, x: Point, v: Point,

@@ -118,6 +118,8 @@ class SolverConfig:
             raise TypeError(f"rule must be MaxRule or AverageRule, got {self.rule!r}")
         if not self.stat_tol > 0.0:
             raise ValueError(f"stat_tol must be positive, got {self.stat_tol}")
+        if not self.stat_tol < math.inf:
+            raise ValueError(f"stat_tol must be finite, got {self.stat_tol}")
         _require_int("max_iters", self.max_iters)
         _require_int("max_backtracks", self.max_backtracks)
         if self.max_iters < 1:

@@ -79,9 +79,10 @@ def graph_min_distance_scaled(p: np.ndarray, grid: int = 400001) -> float:
 def witness_scan(set_, x, v, alphas, tol=None):
     """The linear scan over the step grid: the first certifying step, in grid order.
 
-    The reference for proximal_normal_witness, which finds the same step by
-    bisection: up to len(alphas) projections against its at most
-    2 + ceil(log2(len(alphas) - 1)).
+    The reference for both witness queries, written out step by step apart
+    from the library: proximal_normal_witness must return its answer on
+    WITNESS_ALPHA_GRID, and in_proximal_normal_witness whether that answer is
+    not None. Over the reversed grid it returns the smallest certifying step.
     """
     tol = set_.tol if tol is None else float(tol)
     nv = norm(v)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,16 @@ def test_curve_kink_b_stationary_but_not_proximal():
 def test_classify_rejects_infeasible_point():
     with pytest.raises(InfeasiblePointError):
         classify_stationarity(TWO_AXIS, OBJ, Point.vector([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-7])
+def test_classify_and_apocalypse_reject_a_tol_outside_zero_inf(tol):
+    # An infinite tol would label this point, far from stationary, P-stationary.
+    trace = pgd(TWO_AXIS, OBJ, START, fixed_step_config(0.45, 0.05, max_iters=3))
+    with pytest.raises(ValueError, match=r"tol must be in \(0, inf\)"):
+        classify_stationarity(TWO_AXIS, OBJ, START, tol=tol)
+    with pytest.raises(ValueError, match=r"tol must be in \(0, inf\)"):
+        detect_apocalypse(TWO_AXIS, OBJ, trace, tol=tol)
 
 
 def test_classification_respects_cone_nesting(rng):

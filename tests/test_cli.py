@@ -429,6 +429,17 @@ def test_exit_code_backtrack_failure(tmp_path, capsys):
     assert "termination=backtrack-failure" in stdout
 
 
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_overflowed_classification_tol_is_an_error_not_a_label(command, capsys):
+    # 10 * stat_tol overflows to inf, which classify rejects before any output.
+    code, stdout, stderr = run_cli([command, "--set", "sparse:n=2,s=1",
+                                    "--objective", "least-squares:target=1,0",
+                                    "--x0", "0,1", "--stat-tol", "1e308"], capsys)
+    assert code == cli.EXIT_USAGE
+    assert stdout == ""
+    assert stderr == "error: tol must be in (0, inf), got inf\n"
+
+
 def test_exit_code_suite_failure(capsys, monkeypatch):
     monkeypatch.setitem(cli.SUITES, "always-fails",
                         (lambda seed, trials: (False, ["made-up counterexample"]), 1))

@@ -32,6 +32,7 @@ CASES = [
     ["check", "--suite", "projected-translation", "--seed", "-1", "--trials", "2"],
     ["solve"] + SPARSE + ["--x0", "0,1", "--stat-tol", "nan", "--max-iters", "5", "--out", "t.csv"],
     ["solve"] + SPARSE + ["--x0", "0,1", "--algorithm", "p2gd", "--stationarity", "proximal"],
+    ["solve"] + SPARSE + ["--x0", "0,1", "--stat-tol", "inf"],
 ]
 
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncpgd import (
+    WITNESS_ALPHA_GRID,
     InfeasiblePointError,
     LowRankSet,
     Objective,
@@ -44,10 +45,10 @@ def test_cones_at_a_user_point_decomposes_it_once(set_, name, rng, decomposition
     argv = ["cones", "--set", repr(set_), "--x=" + _fmt(x), "--v=" + _fmt(v)]
     assert cli.main(argv) == cli.EXIT_OK
     assert "proximal-witness: none" in capsys.readouterr().out
-    # x once for all its queries, then the witness search's two projections
-    # (the first and the last grid step miss). The general-normal test stops
-    # before it decomposes v, as v is not orthogonal to the range of x.
-    assert len(decompositions) == decompositions.of(name) == 3
+    # x once for all its queries, then the witness scan's 21 projections (no
+    # grid step certifies). The general-normal test stops before it
+    # decomposes v, as v is not orthogonal to the range of x.
+    assert len(decompositions) == decompositions.of(name) == 1 + len(WITNESS_ALPHA_GRID)
 
 
 @AT_USER_POINTS

@@ -99,6 +99,8 @@ def test_config_validation():
         AverageRule(0.0)
     with pytest.raises(ValueError, match="stat_tol must be positive, got nan"):
         SolverConfig(stat_tol=math.nan)
+    with pytest.raises(ValueError, match="stat_tol must be finite, got inf"):
+        SolverConfig(stat_tol=math.inf)
     for bad in (1.5, 2.0):
         with pytest.raises(TypeError, match="window must be an integer"):
             MaxRule(bad)

@@ -5,7 +5,8 @@ class. A class that inherited a public method from another traced class would
 get the wrapper of its parent wrapped again, and every inherited call would
 record two nested spans; a shared private base class keeps one. The tracer
 also ties its span counts to each solver run's Trace: pgd_map spans per pgd
-step, projections per trial, gradients per p2gd iterate.
+step, projections per trial, gradients per p2gd iterate; and one
+`sets.witness` span per witness certificate, holding its projections.
 """
 
 import sys
@@ -79,6 +80,30 @@ def test_classify_searches_no_witness(set_):
     # the factors carried by the projected point, the 2-D sets in closed form.
     projections = [n for n in names if n.startswith("sets.project[")]
     assert len(projections) <= (0 if isinstance(set_, (LowRankSet, PsdLowRankSet)) else 1)
+
+
+def _witness_spans(argv):
+    """(sets.witness spans, projections directly under them) of one cli.main run."""
+    tracer = tracing.Tracer()
+    patches = tracing.install(tracer)
+    try:
+        assert cli.main(argv) == cli.EXIT_OK
+    finally:
+        patches.restore()
+    spans = tracer.spans()
+    is_witness = spans.select(lambda n: n == "sets.witness")
+    projections = spans.children_count(spans.select(lambda n: n.startswith("sets.project[")))
+    return int(np.count_nonzero(is_witness)), int(projections[is_witness].sum())
+
+
+def test_one_witness_span_per_certificate(capsys):
+    # The suite asks the 0/1 witness once per sampled direction: a nonzero one
+    # certifies at the smallest step with one projection, a zero one with none.
+    assert _witness_spans(["check", "--suite", "prox-equals-regular", "--trials", "1"]) == (240, 160)
+    # The README cones example: v = (1, 0) at the kink fails at 1 ... 2^-7
+    # and certifies at 2^-8 (the witness is loose), all in one span.
+    assert _witness_spans(["cones", "--set", "curve", "--x", "0,0", "--v", "1,0"]) == (1, 9)
+    assert "proximal-witness: alpha=0.00390625" in capsys.readouterr().out
 
 
 def test_solver_spans_match_the_traces(tmp_path):

@@ -1,10 +1,9 @@
-"""The proximal-normal witness: bisection over the step grid against the linear scan.
+"""The proximal-normal witness queries against the reference scan over the step grid.
 
-proximal_normal_witness finds the largest certifying grid step by bisection,
-relying on the certifying steps being closed downward. The scan it replaced
-lives on as helpers.witness_scan; the two must agree wherever the per-step
-test is not decided by roundoff, and the search must stay within its
-projection budget.
+proximal_normal_witness scans the grid from the largest step down and
+in_proximal_normal_witness from the smallest up. Both must equal
+helpers.witness_scan at every tolerance, roundoff regime included, and
+make one projection per step they test.
 """
 
 import math
@@ -35,19 +34,28 @@ from helpers import read_trace_csv, witness_scan
 
 SETS = [SparseSet(6, 2), NonnegSparseSet(6, 2), LowRankSet(4, 4, 2), PsdLowRankSet(4, 2),
         CurveSet(), EpigraphSet(), LowRankSet(30, 20, 3)]
-TOLS = [None, 1e-7, 1e-5]
-# Projections of one search on the default grid: alphas[0], alphas[-1], then
-# a bisection over the 20 gaps between them.
-BUDGET = 2 + math.ceil(math.log2(len(WITNESS_ALPHA_GRID) - 1))
+TOLS = [None, 1e-7, 1e-5, 1e-12]
+GRID_UP = WITNESS_ALPHA_GRID[::-1]
+
+
+def _scan_cost(grid, answer):
+    """Projections of a scan over grid that stops at answer (None: tests every step)."""
+    return len(grid) if answer is None else grid.index(answer) + 1
 
 
 def _count_projections(monkeypatch, set_):
+    """Record every projection call; compute each distinct projection once, so
+    the reference scans and the queries at one (x, v) share them."""
     calls = []
+    memo = {}
     real = type(set_).project
 
     def counted(self, z):
         calls.append(z.shape)
-        return real(self, z)
+        key = (z.shape, z.data.tobytes())
+        if key not in memo:
+            memo[key] = real(self, z)
+        return memo[key]
 
     monkeypatch.setattr(type(set_), "project", counted)
     return calls
@@ -76,23 +84,23 @@ def test_search_equals_scan_on_seeded_pairs(tol, monkeypatch):
         calls = _count_projections(monkeypatch, set_)
         for x, v in _seeded_pairs(set_, rng):
             want = witness_scan(set_, x, v, WITNESS_ALPHA_GRID, tol)
+            smallest = witness_scan(set_, x, v, GRID_UP, tol)
+            projects = norm(v) > 0.0
             del calls[:]
             got = proximal_normal_witness(set_, x, v, tol=tol)
             assert got == want, (set_, tol, x, v)
-            assert len(calls) <= BUDGET
+            assert len(calls) == projects * _scan_cost(WITNESS_ALPHA_GRID, want)
             if got is None:
                 outcomes["none"] += 1
-                assert len(calls) == 2
             elif got == WITNESS_ALPHA_GRID[0]:
                 outcomes["first"] += 1
-                assert len(calls) == (norm(v) > 0.0)
             else:
                 outcomes["inner"] += 1
             del calls[:]
-            assert in_proximal_normal_witness(set_, x, v, tol=tol) == (got is not None)
-            assert len(calls) <= 2
+            assert in_proximal_normal_witness(set_, x, v, tol=tol) == (want is not None)
+            assert len(calls) == projects * _scan_cost(GRID_UP, smallest)
         monkeypatch.undo()
-    # Every branch of the search was exercised.
+    # Every kind of answer occurred.
     assert min(outcomes.values()) >= 20, outcomes
 
 
@@ -126,36 +134,37 @@ def test_search_equals_scan_at_the_kink(set_, monkeypatch):
         assert 0 < hits < 720
 
 
-def test_roundoff_regime_can_differ_from_scan():
+def test_roundoff_regime_agrees_with_scan():
     # At tol = 1e-12 the test at the smallest step, 2^-20, asks the achieved
     # distance to match a*||v|| to ~2e-18, below the rounding error of x + a*v
-    # (~3e-16). The smallest step then fails by roundoff while 0.25 certifies:
-    # the scan reaches 0.25, the search stops after the smallest step fails.
+    # (~3e-16). The smallest step then fails by roundoff while 0.25 certifies,
+    # and both queries still give the scan's answer.
     set_ = LowRankSet(4, 4, 2)
     rng = np.random.default_rng(2)
     x = set_.random_point(rng)
     v = set_.sample_regular_normal(x, rng)
     tol = 1e-12
     assert witness_scan(set_, x, v, WITNESS_ALPHA_GRID, tol) == 0.25
-    assert proximal_normal_witness(set_, x, v, tol=tol) is None
+    assert proximal_normal_witness(set_, x, v, tol=tol) == 0.25
+    assert in_proximal_normal_witness(set_, x, v, tol=tol)
 
     a = WITNESS_ALPHA_GRID[-1]
     z = x + a * v
     gap = a * norm(v) - norm(z - set_.project(z))
     rounding = np.finfo(float).eps * (norm(x) + a * norm(v))
     assert tol * a * max(1.0, norm(v)) < gap < rounding
-    # Outside the regime the two agree.
+    # Outside the regime too the answer is 0.25.
     for tol in TOLS:
         assert proximal_normal_witness(set_, x, v, tol=tol) == 0.25
 
 
-# -- projection budget ----------------------------------------------------------
+# -- projection counts ------------------------------------------------------------
 
 
 @pytest.mark.parametrize("v,alpha,projections", [
     ((0.0, 0.5), 1.0, 1),    # certified at a = 1
-    ((1.0, 0.0), None, 2),   # a tangent direction: fails at a = 1 and at 2^-20
-    ((0.0, 3.0), 0.25, 6),   # certified for a <= 1/3
+    ((1.0, 0.0), None, 21),  # a tangent direction: fails at every step
+    ((0.0, 3.0), 0.25, 3),   # certified for a <= 1/3: 1 and 1/2 fail first
 ])
 def test_projection_count(v, alpha, projections, monkeypatch):
     set_ = SparseSet(2, 1)
@@ -163,15 +172,15 @@ def test_projection_count(v, alpha, projections, monkeypatch):
     assert witness_scan(set_, x, v, WITNESS_ALPHA_GRID) == alpha
     calls = _count_projections(monkeypatch, set_)
     assert proximal_normal_witness(set_, x, v) == alpha
-    assert len(calls) == projections <= BUDGET
+    assert len(calls) == projections
 
 
 @pytest.mark.parametrize("v,alpha,projections", [
-    ((0.0, 1.5), 0.5, 1),    # certified for a <= 2/3: the smallest step decides
-    ((1.0, 0.0), None, 2),   # a tangent direction: fails at 2^-20 and at 1
+    ((0.0, 1.5), 0.5, 1),    # certified for a <= 2/3: the smallest step certifies
+    ((1.0, 0.0), None, 21),  # a tangent direction: fails at every step
 ])
 def test_truth_value_projection_count(v, alpha, projections, monkeypatch):
-    # The 0/1 query skips the bisection that finds the largest certifying step.
+    # The 0/1 query scans from the smallest step up.
     set_ = SparseSet(2, 1)
     x, v = Point.vector([1.0, 0.0]), Point.vector(v)
     assert witness_scan(set_, x, v, WITNESS_ALPHA_GRID) == alpha
