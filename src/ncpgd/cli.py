@@ -6,6 +6,7 @@ import argparse
 import csv
 import gc
 import logging
+import math
 import os
 import sys
 
@@ -113,6 +114,8 @@ def parse_point_field(text: str, shape: tuple[int, ...], field: str) -> Point:
         want *= m
     if len(coords) != want:
         raise SpecError(f"field {field!r}: expected {want} coordinates for shape {shape}, got {len(coords)}")
+    if not all(map(math.isfinite, coords)):
+        raise SpecError(f"field {field!r}: coordinates must be finite, got {text!r}")
     return Point(coords, shape)
 
 
@@ -300,6 +303,10 @@ def _build_problem(merged: dict[str, str]):
     obj = parse_objective_field(_require(merged, "objective"), set_.ambient_shape)
     x0 = parse_point_field(_require(merged, "x0"), set_.ambient_shape, "x0")
     cfg = build_solver_config(merged)
+    # Checked before the solver runs: the classification tolerance is 10 * stat_tol.
+    if not math.isfinite(10.0 * cfg.stat_tol):
+        raise SpecError(f"field 'stat_tol': the classification tolerance 10 * stat_tol "
+                        f"overflows, got {merged['stat_tol']!r}")
     return set_, obj, x0, cfg
 
 
@@ -320,8 +327,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     else:
         trace = p2gd(set_, obj, x0, cfg)
     classify_tol = 10.0 * cfg.stat_tol
-    # Classified before anything is written, so a tolerance that classify
-    # rejects (10 * stat_tol overflowed) leaves no partial output.
+    # Classified before anything is written, so an error in it leaves no partial output.
     summary = _summary_line(algorithm, set_, obj, trace, classify_tol)
     flags = _witness_flags(set_, obj, trace, classify_tol)
     out = merged.get("out")

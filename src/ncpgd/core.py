@@ -49,20 +49,17 @@ class Point:
     declared shape, so vectors in R^n and matrices in R^{m x n} share one type
     and matrices automatically carry the Frobenius inner product.
 
-    Two private slots hold decompositions for the matrix sets, each tagged
-    with the set class that wrote it, computed from the read-only ``data``
-    alone and written at most once, so the point stays immutable in every
-    observable way:
-
-    - ``_factors`` is set only on points returned by a low-rank or PSD
-      projection, before the point is handed out. It holds the kept factors
-      the projection computed, and cone queries at the point trust them.
-      Arithmetic results and user-built points carry none.
-    - ``_memo`` is set on any point by the first low-rank or PSD query that
-      decomposes it: every singular value or eigenvalue and the leading
-      factors, or every eigenvector when that query is a PSD normal draw,
-      which needs a basis of the kernel. Later queries at the point read it
-      instead of decomposing again, and it lives as long as the point.
+    The private slot ``_memo`` holds one decomposition for the matrix sets,
+    tagged with the set class that wrote it. It is written at most once, and
+    only with factors of the read-only ``data``, so the point stays immutable
+    in every observable way. A low-rank or PSD projection writes it on the
+    point it returns, before handing it out: the kept factors, which later
+    queries at that point trust. On any other point the first low-rank or
+    PSD query that decomposes it writes it: every singular value or
+    eigenvalue and the leading factors, or every eigenvector when that query
+    is a PSD normal draw, which needs a basis of the kernel. Later queries
+    read the memo instead of decomposing again, and it lives as long as the
+    point. Arithmetic results and user-built points start without one.
 
     Every point has finite coordinates. ``Point(...)`` tests its input, and
     so does ``Point._of`` for the points the package computes (arithmetic,
@@ -81,7 +78,7 @@ class Point:
     refuses every write.
     """
 
-    __slots__ = ("data", "shape", "_factors", "_memo")
+    __slots__ = ("data", "shape", "_memo")
 
     def __init__(self, data, shape: tuple[int, ...] | None = None):
         # np.array always copies, so the point never aliases the caller's data.

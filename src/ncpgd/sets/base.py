@@ -28,8 +28,11 @@ class FeasibleSet(ABC):
     distance/membership queries against the tangent, regular normal, proximal
     normal, and general normal cones where those forms are known. Set objects
     are immutable and a query's answer depends on its arguments alone, so one
-    object can serve any number of concurrent solver runs. The matrix sets keep a point's decomposition on that point (see
-    ``Point``), which changes how fast later queries answer, never what.
+    object can serve any number of concurrent solver runs. The matrix sets
+    keep a point's decomposition on that point (see ``Point``). A memo that
+    a query decomposed changes how fast later queries answer, never what; a
+    projection's memo holds the factors it computed, so answers at a
+    projected point can differ from those at a copy of it in the last bits.
     """
 
     tol = DEFAULT_TOL

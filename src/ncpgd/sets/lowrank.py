@@ -1,32 +1,42 @@
 """Bounded-rank matrix sets.
 
-Each set decomposes a point at most once (see ``Point``). The first query
-that needs the thin SVD of x (``LowRankSet``) or the eigendecomposition of
-its symmetric part (``PsdLowRankSet``) keeps every singular value or
-eigenvalue, and the singular vectors or eigenvectors of the r + 1 largest, on
-x as its memo, and every later ``project``, ``contains``, stratum or cone
-query at x reads them. The memo lives as long as x. The one exception to
-r + 1 is ``PsdLowRankSet.sample_regular_normal``, which needs a basis of the
-kernel: when it is the first query at x, the memo keeps all n eigenvectors,
-and every later query reads them. Two queries decompose again: one by a set
-of larger rank than the memo's, which holds too few leading factors for it,
-and ``sample_regular_normal`` at a point whose memo holds only r + 1
-eigenvectors.
+Each set decomposes a point at most once and keeps the result on the point
+as its memo (see ``Point``), which every later ``project``, ``contains``,
+stratum or cone query at the point reads. A memo is written in one of two
+ways:
 
-Both projections also leave their kept factors on the point they return, so
-the stratum and cone queries at a projected iterate cost a few O(mnr)
-products and no decomposition at all. These carried factors are trusted: a
-projected point is on the set when its discarded singular values or
-eigenvalues are small. A memo is the point's own decomposition instead, so
-``contains`` at a point without carried factors still tests
-``norm(x - project(x)) <= tol``, with the projection rebuilt from the memo.
+- By a projection, on the point it returns: the r kept singular values or
+  eigenvalues and their vectors. The spectrum is shorter than min(m, n) (n
+  for ``PsdLowRankSet``) because the point's other singular values or
+  eigenvalues are exactly zero, so this memo serves a set of any rank, and
+  it is trusted: the PSD queries skip their symmetry and sign checks.
+  Projecting a projected point therefore decomposes nothing and returns its
+  bits, for the set that made it and for a set of larger rank.
+- By the first query that decomposes any other point, through the thin SVD
+  of x (``LowRankSet``) or the eigendecomposition of its symmetric part
+  (``PsdLowRankSet``): every singular value or eigenvalue, and the vectors of
+  the r + 1 largest. ``PsdLowRankSet.sample_regular_normal`` needs a basis of
+  the kernel, so when it is the first query at x the memo keeps all n
+  eigenvectors.
+
+A memo is written once and lives as long as the point, so these queries
+decompose on every call: a query by the other matrix class, one by a set of
+larger rank than a decomposition memo covers, and ``sample_regular_normal``
+at a point whose memo holds fewer than n eigenvectors, a projected point
+included.
+
+``contains`` tests ``norm(x - P(x)) <= tol`` at every point, with P(x)
+rebuilt from the memo by the helper ``project`` uses; at a point that the
+set, or one of smaller rank, projected, P(x) is x itself.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from ..core import Point, norm
+from ..core import Point, _sq_dist, norm
 from .base import FeasibleSet
 
 
@@ -43,18 +53,18 @@ def _sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-def _kept(x: Point, slot: str, kind: type):
-    """The arrays kind left in the slot ``_factors`` or ``_memo`` of x, or None."""
-    f = getattr(x, slot, None)
+def _kept(x: Point, kind: type):
+    """The arrays kind left in the memo of x, or None."""
+    f = getattr(x, "_memo", None)
     return f[1:] if f is not None and f[0] is kind else None
 
 
-def _keep(x: Point, slot: str, kind: type, *arrays: np.ndarray) -> Point:
-    """Leave arrays, made read-only, in the slot of x unless it is taken; return x."""
-    if getattr(x, slot, None) is None:
+def _keep(x: Point, kind: type, *arrays: np.ndarray) -> Point:
+    """Leave arrays, made read-only, as the memo of x unless it has one; return x."""
+    if getattr(x, "_memo", None) is None:
         for a in arrays:
             a.setflags(write=False)
-        object.__setattr__(x, slot, (kind, *arrays))
+        object.__setattr__(x, "_memo", (kind, *arrays))
     return x
 
 
@@ -88,49 +98,49 @@ class LowRankSet(FeasibleSet):
         return tuple(range(self.r + 1))
 
     def _svd(self, x: Point):
-        """Every singular value of x and more than r of its leading singular vector pairs.
+        """Singular values of x and its leading singular vector pairs.
 
-        Read from the memo of x; the first call at x computes the thin SVD
-        and leaves this memo.
+        Read from the memo of x: a projection's r kept pairs, whose spectrum
+        is shorter than min(m, n) and serves every rank, or every singular
+        value and more than r pairs. Otherwise computes the thin SVD and
+        leaves the latter memo unless x has one.
         """
-        f = _kept(x, "_memo", LowRankSet)
-        if f is not None and f[0].shape[1] > self.r:
+        f = _kept(x, LowRankSet)
+        if f is not None and (f[0].shape[1] > self.r or f[1].size < min(self.m, self.n)):
             return f
         U, s, Vt = np.linalg.svd(x.as_array(), full_matrices=False)
         # r + 1 pairs, so that U[:, :k] (k <= r) is a strided view, as it is of
         # the whole thin U: numpy's products then take the same kernels and give
         # the same bits. Copies, not views, so that x keeps no whole U alive.
         f = (U[:, :self.r + 1].copy(), s, Vt[:self.r + 1].copy())
-        _keep(x, "_memo", LowRankSet, *f)
+        _keep(x, LowRankSet, *f)
         return f
 
     def _factors(self, x: Point, tol: float | None):
         """Leading singular vectors U[:, :k], Vt[:k] of x and its numerical rank k."""
         self._require_shape(x)
         t = self._tol(tol)
-        f = _kept(x, "_factors", LowRankSet)
-        U, s, Vt = self._svd(x) if f is None else f
+        U, s, Vt = self._svd(x)
         k = int(np.count_nonzero(s > t))
         if k > self.r:
             self._infeasible(x, f"numerical rank {k} exceeds {self.r}")
         return U[:, :k], Vt[:k], k
 
-    def project(self, x: Point) -> Point:
-        self._require_shape(x)
+    def _truncation(self, x: Point):
+        """Flat coordinates of the projection of x, and its kept factors U, s, Vt."""
         U, s, Vt = self._svd(x)
         r = self.r
         U, s, Vt = U[:, :r].copy(), s[:r].copy(), Vt[:r].copy()
-        y = Point._of(((U * s) @ Vt).reshape(-1), (self.m, self.n))
-        return _keep(y, "_factors", LowRankSet, U, s, Vt)
+        return ((U * s) @ Vt).reshape(-1), (U, s, Vt)
+
+    def project(self, x: Point) -> Point:
+        self._require_shape(x)
+        flat, kept = self._truncation(x)
+        return _keep(Point._of(flat, (self.m, self.n)), LowRankSet, *kept)
 
     def contains(self, x: Point, tol: float | None = None) -> bool:
-        f = _kept(x, "_factors", LowRankSet)
-        if f is None:
-            # norm(x - project(x)) <= tol, with the projection rebuilt from the memo.
-            return super().contains(x, tol)
         self._require_shape(x)
-        # The distance to the set is the norm of the singular values beyond r.
-        return float(np.linalg.norm(f[1][self.r:])) <= self._tol(tol)
+        return math.sqrt(_sq_dist(x.data, self._truncation(x)[0])) <= self._tol(tol)
 
     def stratum_id(self, x: Point, tol: float | None = None) -> int:
         return self._factors(x, tol)[2]
@@ -212,57 +222,57 @@ class PsdLowRankSet(FeasibleSet):
         return tuple(range(self.r + 1))
 
     def _eigh(self, x: Point, full: bool = False):
-        """Every eigenvalue of the symmetric part of x, ascending, and eigenvectors.
+        """Eigenvalues of the symmetric part of x, ascending, and leading eigenvectors.
 
-        The eigenvectors are those of more than r of the largest eigenvalues,
-        read from the memo of x; the first call at x computes the
-        decomposition and leaves this memo. ``full=True`` returns all n
-        eigenvectors, for callers that need a basis of the kernel: read from
-        the memo when a full call made it, else decomposed again.
+        Read from the memo of x: a projection's r kept pairs, whose spectrum
+        is shorter than n and serves every rank, or every eigenvalue and the
+        eigenvectors of more than r of the largest. Otherwise computes the
+        decomposition and leaves the latter memo unless x has one.
+        ``full=True`` returns every eigenvalue and all n eigenvectors, for
+        callers that need a basis of the kernel: read from the memo when a
+        full call made it, else decomposed again.
         """
-        f = _kept(x, "_memo", PsdLowRankSet)
-        if f is not None and f[1].shape[1] > (self.n - 1 if full else self.r):
+        f = _kept(x, PsdLowRankSet)
+        if f is not None and (f[1].shape[1] > (self.n - 1 if full else self.r)
+                              or not full and f[0].size < self.n):
             return f
         w, Q = np.linalg.eigh(_sym(x.as_array()))
         # A full call keeps all of Q. Otherwise r + 1 vectors, copied, for the
         # reasons given in LowRankSet._svd. A view of either is strided, so
         # every product at it gives the same bits.
         f = (w, Q if full else Q[:, self.n - self.r - 1:].copy())
-        _keep(x, "_memo", PsdLowRankSet, *f)
+        _keep(x, PsdLowRankSet, *f)
         return f
+
+    def _truncation(self, x: Point):
+        """Flat coordinates of the projection of x, and its kept factors lam, Q."""
+        w, Q = self._eigh(x)
+        lam = np.maximum(w[max(w.size - self.r, 0):], 0.0)
+        Q = Q[:, Q.shape[1] - lam.size:].copy()
+        return ((Q * lam) @ Q.T).reshape(-1), (lam, Q)
 
     def project(self, x: Point) -> Point:
         self._require_shape(x)
-        w, Q = self._eigh(x)
-        lam = np.maximum(w[self.n - self.r:], 0.0)
-        Q = Q[:, Q.shape[1] - self.r:].copy()
-        y = Point._of(((Q * lam) @ Q.T).reshape(-1), (self.n, self.n))
-        return _keep(y, "_factors", PsdLowRankSet, lam, Q)
+        flat, kept = self._truncation(x)
+        return _keep(Point._of(flat, (self.n, self.n)), PsdLowRankSet, *kept)
 
     def contains(self, x: Point, tol: float | None = None) -> bool:
-        f = _kept(x, "_factors", PsdLowRankSet)
-        if f is None:
-            # norm(x - project(x)) <= tol, with the projection rebuilt from the memo.
-            return super().contains(x, tol)
         self._require_shape(x)
-        # x is PSD with the ascending eigenvalues lam; its distance to the
-        # set is the norm of all but the r largest.
-        lam = f[0]
-        return float(np.linalg.norm(lam[:max(lam.size - self.r, 0)])) <= self._tol(tol)
+        return math.sqrt(_sq_dist(x.data, self._truncation(x)[0])) <= self._tol(tol)
 
     def _eig(self, x: Point, tol: float | None, full: bool = False):
         """Ascending eigenvalues of the feasible point x, eigenvectors, and its numerical rank k.
 
-        The last k eigenvectors span the range of x. A point made by this
-        set's projection yields its r kept pairs; any other point yields its
-        memo (see ``_eigh``). ``full=True`` returns all n pairs, for callers
-        that need a basis of the kernel: it reads a memo that already holds
-        all n eigenvectors, and otherwise decomposes and leaves one.
+        The last k eigenvectors span the range of x. A projection's memo is
+        trusted, so x is then neither tested for symmetry nor for a negative
+        eigenvalue; any other memo or decomposition is (see ``_eigh``).
+        ``full=True`` returns all n pairs, for callers that need a basis of
+        the kernel, and never reads a projection's memo.
         """
         self._require_shape(x)
         t = self._tol(tol)
-        f = None if full else _kept(x, "_factors", PsdLowRankSet)
-        if f is None:
+        f = None if full else _kept(x, PsdLowRankSet)
+        if f is None or f[0].size == self.n:
             M = x.as_array()
             skew = 0.5 * (M - M.T)
             if np.linalg.norm(skew) > t * max(1.0, float(np.linalg.norm(M))):

@@ -51,6 +51,25 @@ def psd_truncation(M: np.ndarray, r: int) -> np.ndarray:
     return (Q[:, -r:] * lam) @ Q[:, -r:].T
 
 
+def memo(x):
+    """The decomposition memo of a matrix point as (kind, spectrum, vectors), or None.
+
+    kind is the set class that wrote it, spectrum its singular values or
+    eigenvalues, and vectors (U, Vt) for a LowRankSet memo or (Q,) for a
+    PsdLowRankSet one. A projection's memo has a spectrum shorter than
+    min(x.shape).
+    """
+    m = getattr(x, "_memo", None)
+    if m is None:
+        return None
+    kind, *arrays = m
+    if len(arrays) == 3:
+        U, s, Vt = arrays
+        return kind, s, (U, Vt)
+    w, Q = arrays
+    return kind, w, (Q,)
+
+
 def graph_height(t: float) -> float:
     return t ** 0.6 if t > 0.0 else 0.0
 

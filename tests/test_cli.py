@@ -431,13 +431,14 @@ def test_exit_code_backtrack_failure(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["solve", "compare"])
 def test_overflowed_classification_tol_is_an_error_not_a_label(command, capsys):
-    # 10 * stat_tol overflows to inf, which classify rejects before any output.
+    # 10 * stat_tol overflows to inf; the spec check names the field before the solver runs.
     code, stdout, stderr = run_cli([command, "--set", "sparse:n=2,s=1",
                                     "--objective", "least-squares:target=1,0",
                                     "--x0", "0,1", "--stat-tol", "1e308"], capsys)
     assert code == cli.EXIT_USAGE
     assert stdout == ""
-    assert stderr == "error: tol must be in (0, inf), got inf\n"
+    assert stderr == ("error: field 'stat_tol': the classification tolerance 10 * stat_tol "
+                      "overflows, got '1e308'\n")
 
 
 def test_exit_code_suite_failure(capsys, monkeypatch):

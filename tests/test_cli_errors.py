@@ -33,6 +33,10 @@ CASES = [
     ["solve"] + SPARSE + ["--x0", "0,1", "--stat-tol", "nan", "--max-iters", "5", "--out", "t.csv"],
     ["solve"] + SPARSE + ["--x0", "0,1", "--algorithm", "p2gd", "--stationarity", "proximal"],
     ["solve"] + SPARSE + ["--x0", "0,1", "--stat-tol", "inf"],
+    ["solve"] + SPARSE + ["--x0", "0,1", "--stat-tol", "1e308"],
+    ["solve"] + SPARSE + ["--x0", "inf,1"],
+    ["solve", "--set", "sparse:n=2,s=1", "--objective", "least-squares:target=nan,0",
+     "--x0", "0,1"],
 ]
 
 

@@ -193,3 +193,9 @@ def test_shipped_objectives_pass_gradient_check(seed):
         assert check_gradient(obj, x_vec) < 1e-5
     for obj in (least_squares(Point(rng.standard_normal(6), (2, 3))), constant(), quartic()):
         assert check_gradient(obj, x_mat) < 1e-5
+
+
+def test_point_slots_are_pinned():
+    # A test that reads a removed private slot through getattr would pass
+    # without testing anything; this pins the slots the tests may read.
+    assert Point.__slots__ == ("data", "shape", "_memo")

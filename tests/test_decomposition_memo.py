@@ -21,6 +21,8 @@ from ncpgd import (
 )
 from ncpgd import cli
 
+from helpers import memo
+
 SETS = [LowRankSet(6, 6, 2), LowRankSet(9, 4, 2), LowRankSet(6, 7, 1), PsdLowRankSet(6, 2),
         PsdLowRankSet(7, 1)]
 
@@ -118,6 +120,8 @@ def _whole_decomposition(set_, x):
     for a in factors:
         a.flags.writeable = False
     object.__setattr__(x, "_memo", (type(set_), *factors))
+    # Read back as a decomposition's memo, not a projection's: the whole spectrum.
+    assert memo(x)[1].size == min(x.shape)
     return x
 
 
@@ -157,8 +161,9 @@ def test_every_query_at_a_queried_point_matches_a_fresh_point(set_index, stratum
         assert _answer(q, set_, Point(x.as_array()), v, tol, seed) == first[q], q
         assert _answer(q, set_, shared, v, tol, seed) == first[q], q
         assert _answer(q, set_, whole, v, tol, seed) == first[q], q
-    kind, *arrays = shared._memo
+    kind, spectrum, vectors = memo(shared)
     assert kind is type(set_)
+    arrays = (spectrum, *vectors)
     assert arrays and not any(a.flags.writeable for a in arrays)
     with pytest.raises(AttributeError):
         shared._memo = None

@@ -37,7 +37,7 @@ from ncpgd import (
 from ncpgd import cli, core
 from ncpgd.sets import from_spec
 
-from helpers import replay_sparse_p2gd, replay_sparse_pgd
+from helpers import memo, replay_sparse_p2gd, replay_sparse_pgd
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -276,7 +276,7 @@ def test_arithmetic_results_are_read_only_and_carry_no_factors():
     for z in (x + y, x - y, -x, 2.0 * x, x * 0.5):
         assert z.shape == (2, 2)
         assert not z.data.flags.writeable
-        assert getattr(z, "_factors", None) is None
+        assert memo(z) is None
         with pytest.raises(ValueError):
             z.data[0] = 7.0
         with pytest.raises(AttributeError):

@@ -1,7 +1,7 @@
 """Thin factors carried from the low-rank/PSD projections to the cone queries.
 
-The oracles here decompose with plain numpy (full SVD or eigh) and never read
-the factors a projection leaves on its output.
+A projection leaves its kept factors on its output as the point's memo. The
+oracles here decompose with plain numpy (full SVD or eigh) and never read it.
 """
 
 import numpy as np
@@ -23,6 +23,8 @@ from ncpgd import (
 )
 from ncpgd import cli, solver
 from ncpgd.sets.lowrank import _fix_gauge
+
+from helpers import memo
 
 TALL_SETS = [LowRankSet(8, 4, 2), LowRankSet(30, 10, 2)]
 
@@ -47,7 +49,9 @@ def _bits(a):
 
 
 def _carries(x):
-    return getattr(x, "_factors", None) is not None
+    """Whether x holds a projection's memo: a spectrum shorter than min(m, n)."""
+    m = memo(x)
+    return m is not None and m[1].size < min(x.shape)
 
 
 # -- plain-numpy oracle for the low-rank cones --------------------------------
@@ -240,10 +244,12 @@ def test_arithmetic_results_carry_no_factors(rng):
 def test_carried_factors_are_read_only(rng):
     for set_ in (LowRankSet(5, 4, 2), PsdLowRankSet(5, 2)):
         y = set_.project(Point(rng.standard_normal(set_.ambient_shape)))
-        for a in y._factors[1:]:
+        kind, spectrum, vectors = memo(y)
+        assert kind is type(set_)
+        for a in (spectrum, *vectors):
             assert not a.flags.writeable and a.flags.c_contiguous
         with pytest.raises(AttributeError):
-            y._factors = None
+            y._memo = None
 
 
 def test_psd_set_does_not_trust_lowrank_factors():
@@ -330,9 +336,28 @@ def test_carried_membership_agrees_with_the_projection(set_, smaller, rng):
         assert _carries(y)
         for query in (set_, smaller):
             for tol in (None, 1e-12, 1e-7, 0.3):
-                assert query.contains(y, tol) == FeasibleSet.contains(query, y, tol)
+                # The oracle projects a copy of y without its memo.
+                assert query.contains(y, tol) == FeasibleSet.contains(query, Point(y.as_array()), tol)
     # A smaller rank bound rejects top-stratum points and accepts low-rank ones.
     top = set_.project(set_.random_point(rng, stratum=set_.r))
     assert set_.contains(top) and not smaller.contains(top)
     low = set_.project(set_.random_point(rng, stratum=smaller.r))
     assert smaller.contains(low)
+
+
+@pytest.mark.parametrize("set_,larger,name", [(LowRankSet(9, 7, 2), LowRankSet(9, 7, 4), "svd"),
+                                              (PsdLowRankSet(8, 2), PsdLowRankSet(8, 5), "eigh")],
+                         ids=["lowrank", "psd"])
+def test_projecting_a_projected_point_returns_its_bits_without_a_decomposition(
+        set_, larger, name, rng, decompositions):
+    for y in _projected_points(set_, rng):
+        decompositions.clear()
+        for query in (set_, larger):
+            z = query.project(y)
+            assert np.array_equal(_bits(z.data), _bits(y.data))
+            assert _carries(z)
+        assert decompositions == []
+    # A fresh copy of y has no memo, so it is decomposed.
+    decompositions.clear()
+    set_.project(Point(y.as_array()))
+    assert decompositions.of(name) == len(decompositions) == 1
