@@ -105,8 +105,11 @@ def merge_spec(args: argparse.Namespace) -> dict[str, str]:
 
 
 def parse_point_field(text: str, shape: tuple[int, ...], field: str) -> Point:
+    tokens = text.split(",")
+    if not all(tok.strip() for tok in tokens):
+        raise SpecError(f"field {field!r}: empty coordinate in {text!r}")
     try:
-        coords = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        coords = [float(tok) for tok in tokens]
     except ValueError:
         raise SpecError(f"field {field!r}: expected comma-separated numbers, got {text!r}") from None
     want = 1

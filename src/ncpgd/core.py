@@ -50,16 +50,16 @@ class Point:
     and matrices automatically carry the Frobenius inner product.
 
     The private slot ``_memo`` holds one decomposition for the matrix sets,
-    tagged with the set class that wrote it. It is written at most once, and
-    only with factors of the read-only ``data``, so the point stays immutable
-    in every observable way. A low-rank or PSD projection writes it on the
-    point it returns, before handing it out: the kept factors, which later
-    queries at that point trust. On any other point the first low-rank or
-    PSD query that decomposes it writes it: every singular value or
-    eigenvalue and the leading factors, or every eigenvector when that query
-    is a PSD normal draw, which needs a basis of the kernel. Later queries
-    read the memo instead of decomposing again, and it lives as long as the
-    point. Arithmetic results and user-built points start without one.
+    tagged with the family (``LowRankSet`` or ``PsdLowRankSet``) of the set
+    that wrote it. It is written at most once, and only with factors of the
+    read-only ``data``, so the point stays immutable in every observable
+    way. A low-rank or PSD projection writes it on the point it returns,
+    before handing it out: the kept factors, which later queries at that
+    point trust. On any other point the first low-rank or PSD query that
+    decomposes it writes it: every singular value or eigenvalue and the
+    r + 1 leading factors. Later queries read the memo instead of
+    decomposing again, and it lives as long as the point. Arithmetic results
+    and user-built points start without one.
 
     Every point has finite coordinates. ``Point(...)`` tests its input, and
     so does ``Point._of`` for the points the package computes (arithmetic,

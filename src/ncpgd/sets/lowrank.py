@@ -2,8 +2,8 @@
 
 Each set decomposes a point at most once and keeps the result on the point
 as its memo (see ``Point``), which every later ``project``, ``contains``,
-stratum or cone query at the point reads. A memo is written in one of two
-ways:
+stratum or cone query at the point reads, ``sample_regular_normal``
+included. A memo is written in one of two ways:
 
 - By a projection, on the point it returns: the r kept singular values or
   eigenvalues and their vectors. The spectrum is shorter than min(m, n) (n
@@ -15,15 +15,11 @@ ways:
 - By the first query that decomposes any other point, through the thin SVD
   of x (``LowRankSet``) or the eigendecomposition of its symmetric part
   (``PsdLowRankSet``): every singular value or eigenvalue, and the vectors of
-  the r + 1 largest. ``PsdLowRankSet.sample_regular_normal`` needs a basis of
-  the kernel, so when it is the first query at x the memo keeps all n
-  eigenvectors.
+  the r + 1 largest.
 
-A memo is written once and lives as long as the point, so these queries
-decompose on every call: a query by the other matrix class, one by a set of
-larger rank than a decomposition memo covers, and ``sample_regular_normal``
-at a point whose memo holds fewer than n eigenvectors, a projected point
-included.
+A memo is written once and lives as long as the point, so two kinds of query
+decompose on every call: a query by the other matrix class, and one by a set
+of larger rank than a decomposition memo covers.
 
 ``contains`` tests ``norm(x - P(x)) <= tol`` at every point, with P(x)
 rebuilt from the memo by the helper ``project`` uses; at a point that the
@@ -38,15 +34,6 @@ import numpy as np
 
 from ..core import Point, _sq_dist, norm
 from .base import FeasibleSet
-
-
-def _fix_gauge(Q: np.ndarray) -> np.ndarray:
-    """Sign convention: first sizable entry of each column positive."""
-    A = abs(Q)
-    big = A > 1e-12 * A.max(axis=0, initial=0.0)
-    first = np.argmax(big, axis=0)
-    flip = big.any(axis=0) & (Q[first, np.arange(Q.shape[1])] < 0.0)
-    return np.where(flip, -Q, Q)
 
 
 def _sym(M: np.ndarray) -> np.ndarray:
@@ -74,7 +61,47 @@ def _ortho_block(W: np.ndarray, U: np.ndarray, Vt: np.ndarray) -> np.ndarray:
     return R - (R @ Vt.T) @ Vt
 
 
-class LowRankSet(FeasibleSet):
+class _BoundedRank(FeasibleSet):
+    """Matrices of rank at most r, with strata indexed by rank.
+
+    The projection, membership and stratum code shared by both matrix sets.
+    A subclass supplies two helpers. ``_truncation(x)`` returns the flat
+    coordinates of the projection of x and the memo ``project`` leaves on
+    it: the family class, ``LowRankSet`` or ``PsdLowRankSet``, then the kept
+    factors. ``_factors(x, tol)`` returns orthonormal bases U (columns) and
+    Vt (rows) of the column and row spaces of the feasible point x, and its
+    numerical rank k.
+    """
+
+    def __init__(self, shape: tuple[int, int], r: int):
+        super().__init__(shape)
+        self.r = r
+
+    @property
+    def stratum_ids(self):
+        return tuple(range(self.r + 1))
+
+    def _rank(self, x: Point, spectrum: np.ndarray, t: float) -> int:
+        """Numerical rank of x: its count of spectrum entries above t, at most r."""
+        k = int(np.count_nonzero(spectrum > t))
+        if k > self.r:
+            self._infeasible(x, f"numerical rank {k} exceeds {self.r}")
+        return k
+
+    def project(self, x: Point) -> Point:
+        self._require_shape(x)
+        flat, kept = self._truncation(x)
+        return _keep(Point._of(flat, self.ambient_shape), *kept)
+
+    def contains(self, x: Point, tol: float | None = None) -> bool:
+        self._require_shape(x)
+        return math.sqrt(_sq_dist(x.data, self._truncation(x)[0])) <= self._tol(tol)
+
+    def stratum_id(self, x: Point, tol: float | None = None) -> int:
+        return self._factors(x, tol)[2]
+
+
+class LowRankSet(_BoundedRank):
     """Matrices of R^{m x n} with rank at most r (0 < r < min(m, n)).
 
     Strata are indexed by rank. Projection is rank-r truncation of the
@@ -85,17 +112,12 @@ class LowRankSet(FeasibleSet):
         m, n, r = int(m), int(n), int(r)
         if not 0 < r < min(m, n):
             raise ValueError(f"need 0 < r < min(m, n), got m={m}, n={n}, r={r}")
-        super().__init__((m, n))
+        super().__init__((m, n), r)
         self.m = m
         self.n = n
-        self.r = r
 
     def __repr__(self):
         return f"lowrank:m={self.m},n={self.n},r={self.r}"
-
-    @property
-    def stratum_ids(self):
-        return tuple(range(self.r + 1))
 
     def _svd(self, x: Point):
         """Singular values of x and its leading singular vector pairs.
@@ -121,29 +143,15 @@ class LowRankSet(FeasibleSet):
         self._require_shape(x)
         t = self._tol(tol)
         U, s, Vt = self._svd(x)
-        k = int(np.count_nonzero(s > t))
-        if k > self.r:
-            self._infeasible(x, f"numerical rank {k} exceeds {self.r}")
+        k = self._rank(x, s, t)
         return U[:, :k], Vt[:k], k
 
     def _truncation(self, x: Point):
-        """Flat coordinates of the projection of x, and its kept factors U, s, Vt."""
+        """Flat coordinates of the projection of x, and its memo: LowRankSet, U, s, Vt kept."""
         U, s, Vt = self._svd(x)
         r = self.r
         U, s, Vt = U[:, :r].copy(), s[:r].copy(), Vt[:r].copy()
-        return ((U * s) @ Vt).reshape(-1), (U, s, Vt)
-
-    def project(self, x: Point) -> Point:
-        self._require_shape(x)
-        flat, kept = self._truncation(x)
-        return _keep(Point._of(flat, (self.m, self.n)), LowRankSet, *kept)
-
-    def contains(self, x: Point, tol: float | None = None) -> bool:
-        self._require_shape(x)
-        return math.sqrt(_sq_dist(x.data, self._truncation(x)[0])) <= self._tol(tol)
-
-    def stratum_id(self, x: Point, tol: float | None = None) -> int:
-        return self._factors(x, tol)[2]
+        return ((U * s) @ Vt).reshape(-1), (LowRankSet, U, s, Vt)
 
     def dist_regular_normal(self, x: Point, v: Point, tol: float | None = None) -> float:
         self._require_shape(v)
@@ -198,7 +206,7 @@ class LowRankSet(FeasibleSet):
         return Point(_ortho_block(G, U, Vt), (self.m, self.n))
 
 
-class PsdLowRankSet(FeasibleSet):
+class PsdLowRankSet(_BoundedRank):
     """Symmetric positive-semidefinite order-n matrices with rank at most r.
 
     The ambient space is all of R^{n x n}; projection first symmetrizes, then
@@ -210,98 +218,68 @@ class PsdLowRankSet(FeasibleSet):
         n, r = int(n), int(r)
         if not 0 < r < n:
             raise ValueError(f"need 0 < r < n, got n={n}, r={r}")
-        super().__init__((n, n))
+        super().__init__((n, n), r)
         self.n = n
-        self.r = r
 
     def __repr__(self):
         return f"psd:n={self.n},r={self.r}"
 
-    @property
-    def stratum_ids(self):
-        return tuple(range(self.r + 1))
-
-    def _eigh(self, x: Point, full: bool = False):
+    def _eigh(self, x: Point):
         """Eigenvalues of the symmetric part of x, ascending, and leading eigenvectors.
 
         Read from the memo of x: a projection's r kept pairs, whose spectrum
         is shorter than n and serves every rank, or every eigenvalue and the
         eigenvectors of more than r of the largest. Otherwise computes the
         decomposition and leaves the latter memo unless x has one.
-        ``full=True`` returns every eigenvalue and all n eigenvectors, for
-        callers that need a basis of the kernel: read from the memo when a
-        full call made it, else decomposed again.
         """
         f = _kept(x, PsdLowRankSet)
-        if f is not None and (f[1].shape[1] > (self.n - 1 if full else self.r)
-                              or not full and f[0].size < self.n):
+        if f is not None and (f[1].shape[1] > self.r or f[0].size < self.n):
             return f
         w, Q = np.linalg.eigh(_sym(x.as_array()))
-        # A full call keeps all of Q. Otherwise r + 1 vectors, copied, for the
-        # reasons given in LowRankSet._svd. A view of either is strided, so
-        # every product at it gives the same bits.
-        f = (w, Q if full else Q[:, self.n - self.r - 1:].copy())
+        # r + 1 vectors, copied, for the reasons given in LowRankSet._svd.
+        f = (w, Q[:, self.n - self.r - 1:].copy())
         _keep(x, PsdLowRankSet, *f)
         return f
 
     def _truncation(self, x: Point):
-        """Flat coordinates of the projection of x, and its kept factors lam, Q."""
+        """Flat coordinates of the projection of x, and its memo: PsdLowRankSet, lam, Q kept."""
         w, Q = self._eigh(x)
         lam = np.maximum(w[max(w.size - self.r, 0):], 0.0)
         Q = Q[:, Q.shape[1] - lam.size:].copy()
-        return ((Q * lam) @ Q.T).reshape(-1), (lam, Q)
+        return ((Q * lam) @ Q.T).reshape(-1), (PsdLowRankSet, lam, Q)
 
-    def project(self, x: Point) -> Point:
-        self._require_shape(x)
-        flat, kept = self._truncation(x)
-        return _keep(Point._of(flat, (self.n, self.n)), PsdLowRankSet, *kept)
+    def _factors(self, x: Point, tol: float | None):
+        """Orthonormal basis U of the range of the feasible point x, U.T, and its numerical rank k.
 
-    def contains(self, x: Point, tol: float | None = None) -> bool:
-        self._require_shape(x)
-        return math.sqrt(_sq_dist(x.data, self._truncation(x)[0])) <= self._tol(tol)
-
-    def _eig(self, x: Point, tol: float | None, full: bool = False):
-        """Ascending eigenvalues of the feasible point x, eigenvectors, and its numerical rank k.
-
-        The last k eigenvectors span the range of x. A projection's memo is
-        trusted, so x is then neither tested for symmetry nor for a negative
-        eigenvalue; any other memo or decomposition is (see ``_eigh``).
-        ``full=True`` returns all n pairs, for callers that need a basis of
-        the kernel, and never reads a projection's memo.
+        U holds the eigenvectors of the k positive eigenvalues. A projection's
+        memo is trusted, so x is then neither tested for symmetry nor for a
+        negative eigenvalue; any other memo or decomposition is (see
+        ``_eigh``).
         """
         self._require_shape(x)
         t = self._tol(tol)
-        f = None if full else _kept(x, PsdLowRankSet)
+        f = _kept(x, PsdLowRankSet)
         if f is None or f[0].size == self.n:
             M = x.as_array()
             skew = 0.5 * (M - M.T)
             if np.linalg.norm(skew) > t * max(1.0, float(np.linalg.norm(M))):
                 self._infeasible(x, "not symmetric")
-            w, Q = self._eigh(x, full)
+            w, Q = self._eigh(x)
             if w[0] < -t:
                 self._infeasible(x, f"negative eigenvalue {w[0]:.3e}")
         else:
             w, Q = f
-        k = int(np.count_nonzero(w > t))
-        if k > self.r:
-            self._infeasible(x, f"numerical rank {k} exceeds {self.r}")
-        return w, Q, k
-
-    def _range(self, x: Point, tol: float | None):
-        """Orthonormal basis of the range of x (eigenvectors of its k positive eigenvalues) and k."""
-        _, Q, k = self._eig(x, tol)
-        return Q[:, Q.shape[1] - k:], k
-
-    def stratum_id(self, x: Point, tol: float | None = None) -> int:
-        return self._range(x, tol)[1]
+        k = self._rank(x, w, t)
+        U = Q[:, Q.shape[1] - k:]
+        return U, U.T, k
 
     def dist_regular_normal(self, x: Point, v: Point, tol: float | None = None) -> float:
         self._require_shape(v)
-        U, k = self._range(x, tol)
+        U, Ut, k = self._factors(x, tol)
         W = _sym(v.as_array())
         # Normal part on the kernel of x: all of P W P there (P the kernel
         # projector) on the top stratum, only its negative part below it.
-        B = _ortho_block(W, U, U.T)
+        B = _ortho_block(W, U, Ut)
         if k < self.r:
             wb, Qb = np.linalg.eigh(_sym(B))
             B = (Qb * np.minimum(wb, 0.0)) @ Qb.T
@@ -310,14 +288,14 @@ class PsdLowRankSet(FeasibleSet):
     def in_general_normal(self, x: Point, v: Point, tol: float | None = None) -> bool:
         self._require_shape(v)
         t = self._tol(tol)
-        U, k = self._range(x, tol)
+        U, Ut, k = self._factors(x, tol)
         W = _sym(v.as_array())
         scale = max(1.0, float(np.linalg.norm(v.as_array())))
         if k and np.linalg.norm(W @ U) > t * scale:
             return False
         # P W P (P the kernel projector) vanishes on the range of x, so next
         # to the eigenvalues of W restricted to the kernel it has k zeros.
-        wb = np.linalg.eigvalsh(_sym(_ortho_block(W, U, U.T)))
+        wb = np.linalg.eigvalsh(_sym(_ortho_block(W, U, Ut)))
         rank_b = int(np.count_nonzero(abs(wb) > t * scale))
         if rank_b <= self.n - self.r:
             return True
@@ -333,14 +311,18 @@ class PsdLowRankSet(FeasibleSet):
 
     def sample_regular_normal(self, x: Point, v_rng: np.random.Generator,
                               tol: float | None = None) -> Point:
-        _, Q, k = self._eig(x, tol, full=True)
-        A = v_rng.standard_normal((self.n, self.n))
+        U, Ut, k = self._factors(x, tol)
+        n = self.n
+        A = v_rng.standard_normal((n, n))
         skew = 0.5 * (A - A.T)
-        # The sample depends on the kernel basis, so fix its signs.
-        U_perp = _fix_gauge(Q[:, :self.n - k])
-        G = v_rng.standard_normal((self.n - k, self.n - k))
+        # P B P, with P = I - U U^T the kernel projector, so the draw needs
+        # the range of x only. Compressed to the kernel, B is a symmetrized
+        # (n - k) x (n - k) Gaussian on the top stratum and minus a scaled
+        # Wishart below it.
         if k == self.r:
-            B = _sym(G)
+            B = _sym(v_rng.standard_normal((n, n)))
         else:
-            B = -(G @ G.T) / np.sqrt(self.n - k)
-        return Point(skew + U_perp @ B @ U_perp.T, (self.n, self.n))
+            G = v_rng.standard_normal((n, n - k))
+            B = -(G @ G.T) / np.sqrt(n - k)
+        return Point(skew + _ortho_block(B, U, Ut), (n, n))
+

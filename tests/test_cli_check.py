@@ -51,7 +51,7 @@ def test_check_output_matches_golden_bytes(tmp_path):
 
 # Per suite: the set reprs, the drawn points' bytes, the config and the verdicts.
 FACT_DIGESTS = {
-    "prox-equals-regular": "06d2b575b83f351f731234ed654e22b6f089dcf8f0b8e6226a660c7c8988e17b",
+    "prox-equals-regular": "cd1576ffd63a66969ccedb807ea3d1007716356031cb2140e3ba445d2a591f0c",
     "armijo-postcondition": "04d0edcde23860516e23348184ec42e8e43312bd6dba621587fe2686f5d23c26",
     "projected-translation": "944258ec9e10623bfb7303162d2caf56e8439a3bf0f544d94f10b4f78cd58b96",
 }

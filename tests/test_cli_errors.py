@@ -37,6 +37,12 @@ CASES = [
     ["solve"] + SPARSE + ["--x0", "inf,1"],
     ["solve", "--set", "sparse:n=2,s=1", "--objective", "least-squares:target=nan,0",
      "--x0", "0,1"],
+    ["solve"] + SPARSE + ["--x0", "0,,1"],
+    ["solve"] + SPARSE + ["--x0", "1,0,"],
+    ["cones", "--set", "sparse:n=2,s=1", "--x", "0,1,", "--v", "0,0"],
+    ["cones", "--set", "sparse:n=2,s=1", "--x", "0,1", "--v", ",1"],
+    ["solve", "--set", "sparse:n=2,s=1", "--objective", "least-squares:target=1, ,0",
+     "--x0", "0,1"],
 ]
 
 

@@ -1,7 +1,8 @@
 """Each matrix point is decomposed once: the memo the first low-rank/PSD query leaves on it.
 
-The counts below are of np.linalg calls (the ``decompositions`` fixture), at
-points built from outside the package, which carry no projection factors.
+The counts below are of np.linalg calls (the ``decompositions`` fixture).
+Unless a test projects first, they are at points built from outside the
+package, which carry no projection factors.
 """
 
 import numpy as np
@@ -75,8 +76,9 @@ def test_prox_equals_regular_decomposes_each_sampled_point_once(decompositions, 
 
 
 def test_psd_normal_draws_at_a_fresh_point_decompose_it_once(rng, decompositions):
-    # The first query at x is a draw, which needs every eigenvector (a basis
-    # of the kernel), so the memo keeps them all and the other draws read it.
+    # The first query at x is a draw. It leaves a decomposition memo (every
+    # eigenvalue and the r + 1 leading eigenvectors), which the other draws
+    # read: a draw needs a basis of the range of x only.
     set_ = PsdLowRankSet(6, 2)
     a = set_.random_point(rng, stratum=1).as_array()
     x = Point(a)
@@ -94,7 +96,38 @@ def test_psd_normal_draws_at_a_fresh_point_decompose_it_once(rng, decompositions
     assert decompositions == []
 
 
+def test_psd_normal_draws_at_a_projected_point_decompose_nothing(rng, decompositions):
+    set_ = PsdLowRankSet(6, 2)
+    for z in (Point(rng.standard_normal((6, 6))), set_.random_point(rng, stratum=1)):
+        y = set_.project(z)
+        decompositions.clear()
+        for seed in range(20):
+            set_.sample_regular_normal(y, np.random.default_rng(seed))
+        assert decompositions == []
+
+
 # -- a memo never changes an answer --------------------------------------------
+
+
+def test_psd_normal_draws_depend_only_on_the_range_of_x(rng):
+    # The kernel eigenvalue 0 has multiplicity n - k >= 2, so eigh may return
+    # any orthonormal basis of the kernel. A memo holding a rotated one draws
+    # the bits of a fresh point.
+    set_ = PsdLowRankSet(6, 2)
+    n = set_.n
+    for k in set_.stratum_ids:
+        a = set_.random_point(rng, stratum=k).as_array()
+        w, Q = np.linalg.eigh(0.5 * (a + a.T))
+        R, _ = np.linalg.qr(rng.standard_normal((n - k, n - k)))
+        Q = np.hstack([Q[:, :n - k] @ R, Q[:, n - k:]])
+        rotated = Point(a)
+        for arr in (w, Q):
+            arr.flags.writeable = False
+        object.__setattr__(rotated, "_memo", (PsdLowRankSet, w, Q))
+        for seed in range(20):
+            got = set_.sample_regular_normal(rotated, np.random.default_rng(seed))
+            want = set_.sample_regular_normal(Point(a), np.random.default_rng(seed))
+            assert got.data.tobytes() == want.data.tobytes(), (k, seed)
 
 
 QUERIES = {
