@@ -40,10 +40,9 @@ class StationarityReport(NamedTuple):
     The classification is consistent with the nesting of the cones:
     proximal implies regular implies general. ``proximal_member`` is the
     closed-form ``in_proximal_normal``; the report runs no sampled witness.
+    It holds neither the point nor f there, which the caller already has.
     """
 
-    point: Point
-    f_value: float
     d_regular: float
     d_general_member: bool
     proximal_member: bool
@@ -51,10 +50,12 @@ class StationarityReport(NamedTuple):
 
 
 class ApocalypseFlag(NamedTuple):
-    """Vanishing stationarity measure along a run vs. the measure at its limit."""
+    """Vanishing stationarity measure along a run vs. the measure at its limit.
+
+    The measure along the run is the trace's own ``stat_measures``.
+    """
 
     limit_point: Point
-    measure_along_sequence: list[float]
     measure_at_limit: float
     flagged: bool
     note: str = ""
@@ -64,7 +65,8 @@ def classify_stationarity(set_: FeasibleSet, obj: Objective, x: Point,
                           tol: float = DEFAULT_CLASSIFY_TOL) -> StationarityReport:
     """Evaluate -grad(x) against the proximal, regular, and general normal cones.
 
-    Raises ValueError unless 0 < tol < inf.
+    Makes one gradient call and no f evaluation. Raises ValueError unless
+    0 < tol < inf.
     """
     _require_tol(tol)
     if not set_.contains(x, tol):
@@ -81,14 +83,7 @@ def classify_stationarity(set_: FeasibleSet, obj: Objective, x: Point,
         label = "M-stationary-only"
     else:
         label = "non-stationary"
-    return StationarityReport(
-        point=x,
-        f_value=obj.eval(x),
-        d_regular=d_regular,
-        d_general_member=general,
-        proximal_member=proximal,
-        classification=label,
-    )
+    return StationarityReport(d_regular, general, proximal, label)
 
 
 def stationarity_measure_series(set_: FeasibleSet, obj: Objective, trace: Trace) -> list[float]:
@@ -120,11 +115,10 @@ def detect_apocalypse(set_: FeasibleSet, obj: Objective, trace: Trace,
             diameter = max(diameter, math.sqrt(_sq_dist(tail[i].data, tail[j].data)))
     mean = Point(np.mean([p.data for p in tail], axis=0), tail[0].shape)
     limit = set_.project(mean)
-    series = list(trace.stat_measures)
     measure_at_limit = set_.dist_regular_normal(limit, -obj.grad(limit), tol)
     if diameter >= tol:
-        return ApocalypseFlag(limit, series, measure_at_limit, False,
+        return ApocalypseFlag(limit, measure_at_limit, False,
                               note=f"trace tail not converged (diameter {diameter:.3e} >= {tol:.3e})")
-    flagged = series[-1] <= tol and measure_at_limit > 10.0 * tol
-    return ApocalypseFlag(limit, series, measure_at_limit, flagged)
+    flagged = trace.stat_measures[-1] <= tol and measure_at_limit > 10.0 * tol
+    return ApocalypseFlag(limit, measure_at_limit, flagged)
 

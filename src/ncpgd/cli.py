@@ -19,9 +19,9 @@ from .sets import (
     FeasibleSet,
     InfeasiblePointError,
     in_proximal_normal_witness,
+    projected_translation_check,
     proximal_normal_witness,
 )
-from .sets.base import _projected_translation
 from .solver import (
     AverageRule,
     MaxRule,
@@ -137,9 +137,12 @@ def parse_objective_field(text: str, shape: tuple[int, ...]) -> Objective:
         if key.strip() != "value" or not sep:
             raise SpecError(f"field 'objective': constant takes value=<number>, got {rest!r}")
         try:
-            return constant(float(value))
+            number = float(value)
         except ValueError:
             raise SpecError(f"field 'objective': bad constant value {value!r}") from None
+        if not math.isfinite(number):
+            raise SpecError(f"field 'objective': constant value must be finite, got {value!r}")
+        return constant(number)
     if kind == "quartic":
         if rest:
             raise SpecError(f"field 'objective': quartic takes no parameters, got {rest!r}")
@@ -171,10 +174,6 @@ def parse_rule_field(text: str) -> MaxRule | AverageRule:
     raise SpecError(f"field 'rule': expected max:l=K or avg:p=P, got {text!r}")
 
 
-def _initial_step(text: str) -> float | None:
-    return None if text.strip() in ("max", "alpha-max") else float(text)
-
-
 # Each CLI-exposed SolverConfig field: the parser of its text and what the
 # text must be. Flags, config keys and build_solver_config all read this
 # table; SolverConfig alone holds the defaults.
@@ -187,7 +186,6 @@ _SOLVER_FIELDS = {
     "stat_tol": (float, "a number"),
     "max_iters": (int, "an integer"),
     "max_backtracks": (int, "an integer"),
-    "initial_step": (_initial_step, "a number or 'max'"),
 }
 
 
@@ -423,7 +421,7 @@ def _suite_sets() -> tuple[FeasibleSet, ...]:
 
 def projected_translation_trials(seed: int, trials: int):
     """Per trial: (t, set, x, v, y, dist-ok, ip-ok), a random feasible x and translation v,
-    y = project(x - v) and the two verdicts of ``projected_translation_check`` on y."""
+    and ``projected_translation_check``'s y = project(x - v) and its two verdicts on y."""
     rng = np.random.default_rng(seed)
     pool = _suite_sets()
     for t in range(trials):
@@ -431,7 +429,7 @@ def projected_translation_trials(seed: int, trials: int):
         x = set_.random_point(rng)
         scale = float(rng.choice([0.01, 0.3, 1.0, 3.0]))
         v = Point(scale * rng.standard_normal(x.data.size), x.shape)
-        yield (t, set_, x, v) + _projected_translation(set_, x, v)
+        yield (t, set_, x, v) + projected_translation_check(set_, x, v)
 
 
 def suite_projected_translation(seed: int, trials: int) -> tuple[bool, list[str]]:

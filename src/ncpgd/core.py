@@ -252,8 +252,13 @@ def least_squares(target: Point) -> Objective:
 
 
 def constant(value: float = 0.0) -> Objective:
-    """Constant objective; its gradient vanishes everywhere."""
+    """Constant objective; its gradient vanishes everywhere.
+
+    Raises ValueError unless value is finite.
+    """
     value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"constant value must be finite, got {value}")
     return Objective(lambda x: value, lambda x: Point(np.zeros(x.data.size), x.shape), name="constant")
 
 
@@ -275,11 +280,12 @@ def check_gradient(obj: Objective, x: Point, h: float = 1e-6) -> float:
     """Max relative error between obj.grad and central differences at x.
 
     Per coordinate the error is |cd_i - g_i| / (1 + |g_i|); the maximum over
-    coordinates is returned. Raises if h <= 0 or f evaluates non-finite.
+    coordinates is returned. Raises ValueError unless 0 < h < inf, or if f
+    evaluates non-finite.
     """
     h = float(h)
-    if h <= 0.0:
-        raise ValueError(f"step h must be positive, got {h}")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"step h must be in (0, inf), got {h}")
     g = obj.grad(x)
     base = x.data
     worst = 0.0

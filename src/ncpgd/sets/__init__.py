@@ -71,6 +71,8 @@ def _parse_params(kind: str, text: str, required: tuple[str, ...]) -> dict[str, 
             key = key.strip()
             if not sep or not key:
                 raise ValueError(f"set spec {kind!r}: expected key=value, got {item!r}")
+            if key in params:
+                raise ValueError(f"set spec {kind!r}: duplicate field {key!r}")
             try:
                 params[key] = int(value)
             except ValueError:

@@ -176,23 +176,21 @@ def in_proximal_normal_witness(set_: FeasibleSet, x: Point, v: Point,
     return any(certifies(a) for a in reversed(WITNESS_ALPHA_GRID))
 
 
-def projected_translation_check(set_: FeasibleSet, x: Point, v: Point,
-                                slack: float = 1e-9) -> tuple[bool, bool]:
+# Numerical slack of the two projected-translation inequalities.
+_TRANSLATION_SLACK = 1e-9
+
+
+def projected_translation_check(set_: FeasibleSet, x: Point, v: Point) -> tuple[Point, bool, bool]:
     """Check the two projected-translation inequalities at (x, v).
 
     With y = project(x - v), tests ||y - x|| <= 2||v|| and
-    2<v, y - x> <= -||y - x||^2, each with a small numerical slack. Used as a
-    property-test oracle; both must hold for every feasible x and ambient v.
+    2<v, y - x> <= -||y - x||^2, each with a small numerical slack, and
+    returns (y, dist-ok, ip-ok). Used as a property-test oracle; both must
+    hold for every feasible x and ambient v.
     """
-    return _projected_translation(set_, x, v, slack)[1:]
-
-
-def _projected_translation(set_: FeasibleSet, x: Point, v: Point,
-                           slack: float = 1e-9) -> tuple[Point, bool, bool]:
-    """``projected_translation_check`` with the projection y it tested: (y, dist-ok, ip-ok)."""
     y = set_.project(x - v)
     d = norm(y - x)
     nv = norm(v)
-    ok_dist = d <= 2.0 * nv + slack * max(1.0, nv)
-    ok_ip = 2.0 * inner(v, y - x) <= -d * d + slack * max(1.0, nv * nv)
+    ok_dist = d <= 2.0 * nv + _TRANSLATION_SLACK * max(1.0, nv)
+    ok_ip = 2.0 * inner(v, y - x) <= -d * d + _TRANSLATION_SLACK * max(1.0, nv * nv)
     return y, ok_dist, ok_ip

@@ -92,8 +92,9 @@ class Termination(Enum):
 class SolverConfig:
     """Step-size bounds, backtracking factor, Armijo constant, and stopping rules.
 
-    ``initial_step=None`` starts every line search at ``alpha_max``; a float
-    fixes the initial step (it must lie in [alpha_min, alpha_max]).
+    Every line search starts at ``alpha_max``. ``alpha_min`` is only checked
+    (``0 < alpha_min <= alpha_max``): it does not floor the backtracking,
+    which ``max_backtracks`` bounds.
     """
 
     alpha_min: float = 1e-4
@@ -104,7 +105,6 @@ class SolverConfig:
     stat_tol: float = 1e-8
     max_iters: int = 1000
     max_backtracks: int = 60
-    initial_step: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.alpha_min <= self.alpha_max < math.inf:
@@ -126,13 +126,6 @@ class SolverConfig:
             raise ValueError(f"max_iters must be positive, got {self.max_iters}")
         if self.max_backtracks < 1:
             raise ValueError(f"max_backtracks must be positive, got {self.max_backtracks}")
-        if self.initial_step is not None and not (
-                self.alpha_min <= self.initial_step <= self.alpha_max):
-            raise ValueError(f"initial_step {self.initial_step} outside "
-                             f"[{self.alpha_min}, {self.alpha_max}]")
-
-    def start_alpha(self) -> float:
-        return self.alpha_max if self.initial_step is None else self.initial_step
 
 
 class StepResult(NamedTuple):
@@ -193,7 +186,7 @@ def pgd_map(set_: FeasibleSet, obj: Objective, x: Point, mu: float,
             v: Point | None = None) -> StepResult:
     """One backtracking projected line search from x along the direction v.
 
-    Starting from the configured initial step, projects x + alpha*v onto the
+    Starting from alpha = ``cfg.alpha_max``, projects x + alpha*v onto the
     set and shrinks alpha by beta until the Armijo condition
     f(y) <= mu + c * <grad(x), y - x> holds. Each trial costs one projection
     and one f evaluation. Requires x feasible and mu >= f(x); raises
@@ -211,7 +204,7 @@ def pgd_map(set_: FeasibleSet, obj: Objective, x: Point, mu: float,
     d = -g.data if v is None else v.data
     xd, gd, shape = x.data, g.data, x.shape
     project, f, c = set_.project, obj.eval, cfg.c
-    alpha = cfg.start_alpha()
+    alpha = cfg.alpha_max
     backtracks = 0
     while True:
         y = project(Point._of(xd + alpha * d, shape))

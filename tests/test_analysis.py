@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -68,6 +69,19 @@ def test_curve_kink_b_stationary_but_not_proximal():
     assert report.d_regular <= 1e-12
     assert not report.proximal_member
     assert report.d_general_member
+
+
+@pytest.mark.parametrize("spec", ["sparse:n=6,s=2", "nonneg-sparse:n=6,s=2", "lowrank:m=4,n=4,r=2",
+                                  "psd:n=4,r=2", "curve", "epigraph"])
+def test_classify_evaluates_no_f(spec, rng):
+    set_ = from_spec(spec)
+    x = set_.random_point(rng)
+    obj = least_squares(Point(rng.standard_normal(x.data.size), x.shape))
+    evals = []
+    counting = Objective(lambda p: evals.append(p) or obj.eval(p), obj.grad, name="counting")
+    for _ in range(3):
+        classify_stationarity(set_, counting, x)
+    assert evals == []
 
 
 def test_classify_rejects_infeasible_point():
@@ -204,8 +218,11 @@ def test_apocalypse_reads_the_measure_series_from_the_trace():
     flag = detect_apocalypse(TWO_AXIS, counting, trace)
     # One gradient, at the estimated limit.
     assert len(calls) == 1
-    assert flag.measure_along_sequence == trace.stat_measures
-    assert flag.measure_along_sequence is not trace.stat_measures
+    assert flag.flagged
+    # The trace's last measure decides the flag; the flag keeps no copy of the series.
+    unsettled = dataclasses.replace(trace, stat_measures=trace.stat_measures[:-1] + [1.0])
+    assert not detect_apocalypse(TWO_AXIS, counting, unsettled).flagged
+    assert len(calls) == 2
 
 
 class _ProximalDistanceDiffers(SparseSet):
@@ -251,4 +268,4 @@ def test_armijo_steps_satisfy_projected_translation(rng):
     for i in range(1, len(trace)):
         x = trace.iterates[i - 1]
         v = trace.alphas[i] * OBJ.grad(x)
-        assert projected_translation_check(TWO_AXIS, x, v) == (True, True)
+        assert projected_translation_check(TWO_AXIS, x, v)[1:] == (True, True)

@@ -142,7 +142,7 @@ def test_solver_defaults_come_from_solver_config():
 # entry fails the test below.
 FIELD_TEXT = {"alpha_min": "0.25", "alpha_max": "0.5", "beta": "0.3", "c": "0.2",
               "rule": "avg:p=0.5", "stat_tol": "1e-6", "max_iters": "7",
-              "max_backtracks": "9", "initial_step": "0.4"}
+              "max_backtracks": "9"}
 
 
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SolverConfig)])
@@ -173,7 +173,7 @@ def test_unknown_config_key_is_named(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key,text", [("beta", "half"), ("max_iters", "2.5"),
-                                      ("initial_step", "largest"), ("rule", "max:l=x")])
+                                      ("alpha_min", "small"), ("rule", "max:l=x")])
 def test_bad_value_same_message_from_flag_and_file(key, text, tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(f"{key} = {text}\n")
@@ -183,6 +183,20 @@ def test_bad_value_same_message_from_flag_and_file(key, text, tmp_path, capsys):
     assert code_file == code_flag == cli.EXIT_USAGE
     assert err_file == err_flag
     assert err_flag.startswith(f"error: field {key!r}")
+
+
+def test_initial_step_is_neither_a_flag_nor_a_config_key(tmp_path, capsys):
+    # Every line search starts at alpha_max; there is no separate initial step.
+    code, stdout, stderr = run_cli(SOLVE_ARGS + ["--initial-step", "0.5"], capsys)
+    assert code == cli.EXIT_USAGE
+    assert stdout == ""
+    assert "--initial-step" in stderr
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("initial_step = 0.5\n")
+    code, stdout, stderr = run_cli(SOLVE_ARGS + ["--config", str(cfg)], capsys)
+    assert code == cli.EXIT_USAGE
+    assert stdout == ""
+    assert "unknown key(s) 'initial_step'" in stderr
 
 
 STATIONARITY_ERROR = "field 'stationarity': expected regular or proximal, got 'prox'"

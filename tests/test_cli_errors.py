@@ -43,6 +43,10 @@ CASES = [
     ["cones", "--set", "sparse:n=2,s=1", "--x", "0,1", "--v", ",1"],
     ["solve", "--set", "sparse:n=2,s=1", "--objective", "least-squares:target=1, ,0",
      "--x0", "0,1"],
+    ["solve", "--set", "sparse:n=2,s=1", "--x0", "0,1", "--objective", "constant:value=nan"],
+    ["solve", "--set", "sparse:n=2,s=1", "--x0", "0,1", "--objective", "constant:value=inf"],
+    ["solve", "--set", "sparse:n=3,s=1,n=2", "--x0", "0,1", "--objective",
+     "least-squares:target=1,0"],
 ]
 
 

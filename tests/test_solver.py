@@ -92,8 +92,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(stat_tol=0.0)
     with pytest.raises(ValueError):
-        SolverConfig(initial_step=2.0, alpha_max=1.0)
-    with pytest.raises(ValueError):
         MaxRule(-1)
     with pytest.raises(ValueError):
         AverageRule(0.0)
@@ -110,8 +108,6 @@ def test_config_validation():
         SolverConfig(max_backtracks=1.5)
     assert MaxRule(np.int64(2)).reference([3, 1, 2, 0], math.nan) == 2
     assert SolverConfig(max_iters=np.int64(3), max_backtracks=np.int32(4)).max_iters == 3
-    assert SolverConfig(initial_step=0.5).start_alpha() == 0.5
-    assert SolverConfig().start_alpha() == 1.0
 
 
 # -- one line-search step -----------------------------------------------------
@@ -310,7 +306,7 @@ def test_trace_invariants_on_random_runs(rng):
             assert trace.f_values[i] <= f0 + slack  # initial sublevel set
         for i in range(1, n):
             assert 0.0 < trace.alphas[i] <= cfg.alpha_max
-            assert trace.alphas[i] == cfg.start_alpha() * cfg.beta ** trace.backtrack_counts[i]
+            assert trace.alphas[i] == cfg.alpha_max * cfg.beta ** trace.backtrack_counts[i]
             gap = trace.iterates[i] - trace.iterates[i - 1]
             rhs = trace.mu_values[i - 1] + cfg.c * inner(obj.grad(trace.iterates[i - 1]), gap)
             assert trace.f_values[i] <= rhs + slack
