@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import dataclasses
 import gc
 import logging
 import math
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -18,6 +21,7 @@ from .core import Objective, Point, constant, least_squares, quartic
 from .sets import (
     FeasibleSet,
     InfeasiblePointError,
+    SpecError,
     in_proximal_normal_witness,
     projected_translation_check,
     proximal_normal_witness,
@@ -42,10 +46,6 @@ EXIT_SUITE = 4
 
 _FLOAT_FMT = "%.17g"
 
-class SpecError(ValueError):
-    """An experiment spec field failed to parse."""
-
-
 def _fmt(x: float) -> str:
     return _FLOAT_FMT % x
 
@@ -58,8 +58,10 @@ def _fmt_point(p: Point) -> str:
 
 
 def read_config_file(path: str) -> dict[str, str]:
-    """Flat key=value file; '#' starts a comment, blank lines are skipped."""
+    """Flat key=value file. A key, written with '-' or '_', may appear once; blank lines
+    and whole-line '#' comments are skipped, and a '#' after a value is part of it."""
     values: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -68,39 +70,28 @@ def read_config_file(path: str) -> dict[str, str]:
             key, sep, value = line.partition("=")
             if not sep or not key.strip():
                 raise SpecError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            values[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key in values:
+                raise SpecError(f"{path}:{lineno}: repeated key {key!r} "
+                                f"(first given on line {first_line[key]})")
+            values[key], first_line[key] = value.strip(), lineno
     return values
 
 
-# CLI-level choices that are not SolverConfig fields. merge_spec checks them,
-# so a flag and a config value get the same message whatever else is set.
-_CHOICE_FIELDS = {"algorithm": ("pgd", "p2gd"), "stationarity": ("regular", "proximal")}
-
-
 def merge_spec(args: argparse.Namespace) -> dict[str, str]:
-    """The config file's values overridden by the flags given.
-
-    The file may set exactly the keys the command has flags for; any other
-    key is rejected, and so is a value outside _CHOICE_FIELDS, and so is a
-    stationarity test given to p2gd, which stops on its tangent direction.
-    """
-    keys = [name for name in vars(args) if name not in ("command", "fn", "config")]
+    """The config file's values overridden by the flags given, all stripped; a
+    file key that is not one of the command's fields is rejected."""
+    names = _command_fields(args.command)
     merged = read_config_file(args.config) if args.config else {}
-    unknown = sorted(set(merged) - set(keys))
+    unknown = sorted(set(merged) - set(names))
     if unknown:
         raise SpecError(f"{args.config}: unknown key(s) {', '.join(map(repr, unknown))} "
                         f"(accepted: the {args.command} flag names)")
-    for name in keys:
+    for name in names:
         value = getattr(args, name)
         if value is not None:
-            merged[name] = value
-    for name, choices in _CHOICE_FIELDS.items():
-        if name in merged and merged[name] not in choices:
-            raise SpecError(f"field {name!r}: expected {' or '.join(choices)}, "
-                            f"got {merged[name]!r}")
-    if merged.get("algorithm") == "p2gd" and "stationarity" in merged:
-        raise SpecError("field 'stationarity' applies to algorithm pgd only "
-                        "(p2gd stops on the norm of its tangent direction)")
+            # argparse drops the text of --name=-- and leaves [] in its place.
+            merged[name] = "--" if value == [] else value.strip()
     return merged
 
 
@@ -112,9 +103,7 @@ def parse_point_field(text: str, shape: tuple[int, ...], field: str) -> Point:
         coords = [float(tok) for tok in tokens]
     except ValueError:
         raise SpecError(f"field {field!r}: expected comma-separated numbers, got {text!r}") from None
-    want = 1
-    for m in shape:
-        want *= m
+    want = math.prod(shape)
     if len(coords) != want:
         raise SpecError(f"field {field!r}: expected {want} coordinates for shape {shape}, got {len(coords)}")
     if not all(map(math.isfinite, coords)):
@@ -125,92 +114,109 @@ def parse_point_field(text: str, shape: tuple[int, ...], field: str) -> Point:
 def parse_objective_field(text: str, shape: tuple[int, ...]) -> Objective:
     kind, _, rest = text.strip().partition(":")
     kind = kind.strip()
-    if kind == "least-squares":
-        key, sep, value = rest.partition("=")
-        if key.strip() != "target" or not sep:
-            raise SpecError(f"field 'objective': least-squares needs target=<coords>, got {rest!r}")
+    key, sep, value = rest.partition("=")
+    if kind == "least-squares" and key.strip() == "target" and sep:
         return least_squares(parse_point_field(value, shape, "objective.target"))
-    if kind == "constant":
-        if not rest:
-            return constant()
-        key, sep, value = rest.partition("=")
-        if key.strip() != "value" or not sep:
-            raise SpecError(f"field 'objective': constant takes value=<number>, got {rest!r}")
-        try:
-            number = float(value)
-        except ValueError:
-            raise SpecError(f"field 'objective': bad constant value {value!r}") from None
+    if kind == "constant" and key.strip() == "value" and sep:
+        number = float(value)
         if not math.isfinite(number):
             raise SpecError(f"field 'objective': constant value must be finite, got {value!r}")
         return constant(number)
-    if kind == "quartic":
-        if rest:
-            raise SpecError(f"field 'objective': quartic takes no parameters, got {rest!r}")
+    if (kind, rest) == ("constant", ""):
+        return constant()
+    if (kind, rest) == ("quartic", ""):
         return quartic()
-    raise SpecError(f"field 'objective': unknown kind {kind!r} (expected least-squares, constant, quartic)")
+    raise ValueError(f"not an objective spec: {text!r}")
 
 
 def parse_rule_field(text: str) -> MaxRule | AverageRule:
     kind, _, rest = text.strip().partition(":")
     kind = kind.strip()
-    if kind == "max":
-        key, sep, value = rest.partition("=")
-        if not rest:
-            return MaxRule(0)
-        if key.strip() != "l" or not sep:
-            raise SpecError(f"field 'rule': max takes l=<int>, got {rest!r}")
-        try:
-            return MaxRule(int(value))
-        except ValueError:
-            raise SpecError(f"field 'rule': bad window {value!r}") from None
-    if kind in ("avg", "average"):
-        key, sep, value = rest.partition("=")
-        if key.strip() != "p" or not sep:
-            raise SpecError(f"field 'rule': {kind} takes p=<float>, got {rest!r}")
-        try:
-            return AverageRule(float(value))
-        except ValueError:
-            raise SpecError(f"field 'rule': bad weight {value!r}") from None
-    raise SpecError(f"field 'rule': expected max:l=K or avg:p=P, got {text!r}")
+    key, sep, value = rest.partition("=")
+    if (kind, rest) == ("max", ""):
+        return MaxRule(0)
+    if kind == "max" and key.strip() == "l" and sep:
+        rule, number = MaxRule, int(value)
+    elif kind in ("avg", "average") and key.strip() == "p" and sep:
+        rule, number = AverageRule, float(value)
+    else:
+        raise ValueError(f"not a rule spec: {text!r}")
+    try:
+        return rule(number)
+    except ValueError as err:
+        raise SpecError(f"field 'rule': {err}") from None
 
 
-# Each CLI-exposed SolverConfig field: the parser of its text and what the
-# text must be. Flags, config keys and build_solver_config all read this
-# table; SolverConfig alone holds the defaults.
-_SOLVER_FIELDS = {
-    "alpha_min": (float, "a number"),
-    "alpha_max": (float, "a number"),
-    "beta": (float, "a number"),
-    "c": (float, "a number"),
-    "rule": (parse_rule_field, "max:l=K or avg:p=P"),
-    "stat_tol": (float, "a number"),
-    "max_iters": (int, "an integer"),
-    "max_backtracks": (int, "an integer"),
+def _one_of(*choices: str):
+    """A parser that returns its text if that is one of choices (else index raises ValueError)."""
+    return lambda text: choices[choices.index(text)]
+
+
+class _Field(NamedTuple):
+    """One solve/compare field: flag --name with '-' for '_', config key either way."""
+
+    expected: str  # what the text must be; also the flag's help
+    parse: Callable[..., object]
+    required: bool = False
+    solve_only: bool = False
+
+
+# Every solve/compare field, in flag order. The objective and x0 parsers take the set's
+# shape too; they and the set parser look their function up when called, so that a
+# wrapper set on the module attribute sees each call.
+_FIELDS = {
+    "set": _Field("a set spec, e.g. sparse:n=2,s=1", lambda text: sets.from_spec(text),
+                  required=True),
+    "objective": _Field("least-squares:target=<coords>, constant[:value=<number>] or quartic",
+                        lambda text, shape: parse_objective_field(text, shape), required=True),
+    "x0": _Field("comma-separated coordinates (row-major for matrices)",
+                 lambda text, shape: parse_point_field(text, shape, "x0"), required=True),
+    "alpha_min": _Field("a number", float),
+    "alpha_max": _Field("a number", float),
+    "beta": _Field("a number", float),
+    "c": _Field("a number", float),
+    "rule": _Field("max:l=K or avg:p=P", parse_rule_field),
+    "stat_tol": _Field("a number", float),
+    "max_iters": _Field("an integer", int),
+    "max_backtracks": _Field("an integer", int),
+    "algorithm": _Field("pgd or p2gd", _one_of("pgd", "p2gd"), solve_only=True),
+    "stationarity": _Field("regular or proximal", _one_of("regular", "proximal")),
+    "out": _Field("a file path for the CSV trace (default: stdout)", str),
+    "emit_plot_data": _Field("a file path for the point/arrow series for plotting", str),
 }
+
+
+def _command_fields(command: str) -> list[str]:
+    return [name for name, f in _FIELDS.items() if command == "solve" or not f.solve_only]
+
+
+def _field_value(merged: dict[str, str], name: str, *shape):
+    """The named field's value parsed by its row from its text in merged; None if absent.
+    Empty text, or a ValueError other than SpecError, is the 'expected' error."""
+    field = _FIELDS[name]
+    text = merged.get(name)
+    if field.required and not text:
+        raise SpecError(f"field {name!r} is required (flag --{name.replace('_', '-')} or config file)")
+    if text is None:
+        return None
+    try:
+        if text:
+            return field.parse(text, *shape)
+    except SpecError:
+        raise
+    except ValueError:
+        pass
+    raise SpecError(f"field {name!r}: expected {field.expected}, got {text!r}")
 
 
 def build_solver_config(merged: dict[str, str]) -> SolverConfig:
     """SolverConfig from the fields a flag or the config file set."""
-    given = {}
-    for name, (parse, expected) in _SOLVER_FIELDS.items():
-        if name not in merged:
-            continue
-        try:
-            given[name] = parse(merged[name])
-        except SpecError:
-            raise
-        except ValueError:
-            raise SpecError(f"field {name!r}: expected {expected}, got {merged[name]!r}") from None
+    given = {f.name: _field_value(merged, f.name)
+             for f in dataclasses.fields(SolverConfig) if f.name in merged}
     try:
         return SolverConfig(**given)
     except (ValueError, TypeError) as err:
         raise SpecError(f"bad solver configuration: {err}") from None
-
-
-def _require(merged: dict[str, str], name: str) -> str:
-    if name not in merged or not merged[name]:
-        raise SpecError(f"field {name!r} is required (flag --{name.replace('_', '-')} or config file)")
-    return merged[name]
 
 
 # -- CSV output ---------------------------------------------------------------
@@ -300,15 +306,25 @@ def write_plot_data_csv(fh, traces: dict[str, Trace], targets: dict[str, list[Po
 # -- commands -----------------------------------------------------------------
 
 def _build_problem(merged: dict[str, str]):
-    set_ = sets.from_spec(_require(merged, "set"))
-    obj = parse_objective_field(_require(merged, "objective"), set_.ambient_shape)
-    x0 = parse_point_field(_require(merged, "x0"), set_.ambient_shape, "x0")
+    """Every field's value, parsed before the solver runs so that a bad one stops the command."""
+    set_ = _field_value(merged, "set")
+    obj = _field_value(merged, "objective", set_.ambient_shape)
+    x0 = _field_value(merged, "x0", set_.ambient_shape)
     cfg = build_solver_config(merged)
     # Checked before the solver runs: the classification tolerance is 10 * stat_tol.
     if not math.isfinite(10.0 * cfg.stat_tol):
         raise SpecError(f"field 'stat_tol': the classification tolerance 10 * stat_tol "
                         f"overflows, got {merged['stat_tol']!r}")
-    return set_, obj, x0, cfg
+    rest = {name: _field_value(merged, name)
+            for name in ("algorithm", "stationarity", "out", "emit_plot_data")}
+    if rest["algorithm"] == "p2gd" and rest["stationarity"]:
+        raise SpecError("field 'stationarity' applies to algorithm pgd only "
+                        "(p2gd stops on the norm of its tangent direction)")
+    return set_, obj, x0, cfg, rest
+
+
+def _csv_file(path: str | None):
+    return open(path, "w", newline="", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout)
 
 
 def _summary_line(name: str, set_: FeasibleSet, obj: Objective, trace: Trace,
@@ -320,37 +336,32 @@ def _summary_line(name: str, set_: FeasibleSet, obj: Objective, trace: Trace,
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    merged = merge_spec(args)
-    set_, obj, x0, cfg = _build_problem(merged)
-    algorithm = merged.get("algorithm", "pgd")
+    set_, obj, x0, cfg, rest = _build_problem(merge_spec(args))
+    algorithm = rest["algorithm"] or "pgd"
     if algorithm == "pgd":
-        trace = pgd(set_, obj, x0, cfg, stationarity=merged.get("stationarity", "regular"))
+        trace = pgd(set_, obj, x0, cfg, stationarity=rest["stationarity"] or "regular")
     else:
         trace = p2gd(set_, obj, x0, cfg)
     classify_tol = 10.0 * cfg.stat_tol
     # Classified before anything is written, so an error in it leaves no partial output.
     summary = _summary_line(algorithm, set_, obj, trace, classify_tol)
     flags = _witness_flags(set_, obj, trace, classify_tol)
-    out = merged.get("out")
+    out = rest["out"]
+    with _csv_file(out) as fh:
+        write_trace_csv(fh, trace, flags)
     if out:
-        with open(out, "w", newline="", encoding="utf-8") as fh:
-            write_trace_csv(fh, trace, flags)
         _log.info("trace written to %s", out)
-    else:
-        write_trace_csv(sys.stdout, trace, flags)
     print(summary, file=sys.stdout if out else sys.stderr)
-    plot_path = merged.get("emit_plot_data")
-    if plot_path:
-        with open(plot_path, "w", newline="", encoding="utf-8") as fh:
+    if rest["emit_plot_data"]:
+        with _csv_file(rest["emit_plot_data"]) as fh:
             write_plot_data_csv(fh, {algorithm: trace},
                                 {algorithm: _linesearch_targets(obj, trace)})
     return EXIT_SOLVER if trace.termination is Termination.BACKTRACK_FAILURE else EXIT_OK
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    merged = merge_spec(args)
-    set_, obj, x0, cfg = _build_problem(merged)
-    traces = {"pgd": pgd(set_, obj, x0, cfg, stationarity=merged.get("stationarity", "regular")),
+    set_, obj, x0, cfg, rest = _build_problem(merge_spec(args))
+    traces = {"pgd": pgd(set_, obj, x0, cfg, stationarity=rest["stationarity"] or "regular"),
               "p2gd": p2gd(set_, obj, x0, cfg)}
     classify_tol = 10.0 * cfg.stat_tol
     # Classified before anything is written, as in cmd_solve.
@@ -364,17 +375,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
                       f"measure-at-limit={_fmt(flag.measure_at_limit)}{note}")
     # One set of targets serves both CSV writers.
     targets = {name: _linesearch_targets(obj, tr) for name, tr in traces.items()}
-    out = merged.get("out")
-    if out:
-        with open(out, "w", newline="", encoding="utf-8") as fh:
-            write_compare_csv(fh, traces, targets)
-    else:
-        write_compare_csv(sys.stdout, traces, targets)
-    plot_path = merged.get("emit_plot_data")
-    if plot_path:
-        with open(plot_path, "w", newline="", encoding="utf-8") as fh:
+    with _csv_file(rest["out"]) as fh:
+        write_compare_csv(fh, traces, targets)
+    if rest["emit_plot_data"]:
+        with _csv_file(rest["emit_plot_data"]) as fh:
             write_plot_data_csv(fh, traces, targets)
-    print("\n".join(report), file=sys.stdout if out else sys.stderr)
+    print("\n".join(report), file=sys.stdout if rest["out"] else sys.stderr)
     failed = any(tr.termination is Termination.BACKTRACK_FAILURE for tr in traces.values())
     return EXIT_SOLVER if failed else EXIT_OK
 
@@ -533,19 +539,6 @@ def cmd_check(args: argparse.Namespace) -> int:
 # -- entry point --------------------------------------------------------------
 
 
-def _add_solver_flags(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="flat key=value config file; flags override it")
-    p.add_argument("--set", help="feasible set spec, e.g. sparse:n=2,s=1")
-    p.add_argument("--objective", help="objective spec, e.g. least-squares:target=1,0")
-    p.add_argument("--x0", help="starting point, comma-separated (row-major for matrices)")
-    for name, (_, expected) in _SOLVER_FIELDS.items():
-        p.add_argument("--" + name.replace("_", "-"), dest=name, help=expected)
-    p.add_argument("--stationarity", help=" or ".join(_CHOICE_FIELDS["stationarity"]))
-    p.add_argument("--out", help="write the CSV trace here instead of stdout")
-    p.add_argument("--emit-plot-data", dest="emit_plot_data",
-                   help="also write point/arrow series for plotting to this path")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ncpgd",
@@ -553,14 +546,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "with cone queries and stationarity certification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", help="run one algorithm and emit a CSV trace")
-    _add_solver_flags(p_solve)
-    p_solve.add_argument("--algorithm", help=" or ".join(_CHOICE_FIELDS["algorithm"]))
-    p_solve.set_defaults(fn=cmd_solve)
-
-    p_cmp = sub.add_parser("compare", help="run pgd and p2gd side by side")
-    _add_solver_flags(p_cmp)
-    p_cmp.set_defaults(fn=cmd_compare)
+    for command, fn, about in (("solve", cmd_solve, "run one algorithm and emit a CSV trace"),
+                               ("compare", cmd_compare, "run pgd and p2gd side by side")):
+        p = sub.add_parser(command, help=about)
+        p.add_argument("--config", help="flat key=value config file; flags override it")
+        for name in _command_fields(command):
+            p.add_argument("--" + name.replace("_", "-"), dest=name, help=_FIELDS[name].expected)
+        p.set_defaults(fn=fn)
 
     p_cones = sub.add_parser("cones", help="query the cones of a set at a point")
     p_cones.add_argument("--set", required=True)

@@ -46,6 +46,10 @@ _KINDS = {
 _CLASS_MODULES = {cls: module for module, cls, _ in _KINDS.values()}
 
 
+class SpecError(ValueError):
+    """A spec field failed to parse: a set spec, or a field of an ncpgd command."""
+
+
 def _load(module: str, name: str) -> type:
     cls = getattr(importlib.import_module(f".{module}", __name__), name)
     globals()[name] = cls
@@ -70,19 +74,19 @@ def _parse_params(kind: str, text: str, required: tuple[str, ...]) -> dict[str, 
             key, sep, value = item.partition("=")
             key = key.strip()
             if not sep or not key:
-                raise ValueError(f"set spec {kind!r}: expected key=value, got {item!r}")
+                raise SpecError(f"set spec {kind!r}: expected key=value, got {item!r}")
             if key in params:
-                raise ValueError(f"set spec {kind!r}: duplicate field {key!r}")
+                raise SpecError(f"set spec {kind!r}: duplicate field {key!r}")
             try:
                 params[key] = int(value)
             except ValueError:
-                raise ValueError(f"set spec {kind!r}: field {key!r} must be an integer, got {value!r}") from None
+                raise SpecError(f"set spec {kind!r}: field {key!r} must be an integer, got {value!r}") from None
     missing = [k for k in required if k not in params]
     if missing:
-        raise ValueError(f"set spec {kind!r}: missing field(s) {', '.join(missing)}")
+        raise SpecError(f"set spec {kind!r}: missing field(s) {', '.join(missing)}")
     extra = [k for k in params if k not in required]
     if extra:
-        raise ValueError(f"set spec {kind!r}: unknown field(s) {', '.join(extra)}")
+        raise SpecError(f"set spec {kind!r}: unknown field(s) {', '.join(extra)}")
     return params
 
 
@@ -95,9 +99,12 @@ def from_spec(spec: str) -> FeasibleSet:
     kind, _, rest = spec.strip().partition(":")
     kind = kind.strip()
     if kind not in _KINDS:
-        raise ValueError(f"unknown set kind {kind!r}; expected one of {', '.join(_KINDS)}")
+        raise SpecError(f"unknown set kind {kind!r}; expected one of {', '.join(_KINDS)}")
     module, name, fields = _KINDS[kind]
     if rest and not fields:
-        raise ValueError(f"set spec {kind!r} takes no parameters, got {rest!r}")
+        raise SpecError(f"set spec {kind!r} takes no parameters, got {rest!r}")
     p = _parse_params(kind, rest, fields)
-    return _load(module, name)(*(p[k] for k in fields))
+    try:
+        return _load(module, name)(*(p[k] for k in fields))
+    except ValueError as err:
+        raise SpecError(f"set spec {kind!r}: {err}") from None

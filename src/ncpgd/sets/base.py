@@ -92,7 +92,7 @@ class FeasibleSet(ABC):
         unchanged. Membership can still differ; see in_proximal_normal.
 
         Nothing in the package calls it. It stays only because ``SET_METHODS``
-        in ``perfbench/tracer.py`` lists it, until ROADMAP item 1.
+        in ``perfbench/tracer.py`` lists it, until ROADMAP item 2 deletes it.
         """
         return self.dist_regular_normal(x, v, tol)
 

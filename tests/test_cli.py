@@ -129,33 +129,39 @@ def test_config_file_with_flag_overrides(tmp_path, capsys):
     assert len(read_trace_csv(str(out2))["iter"]) > 2
 
 
-def _config_from(argv):
-    return cli.build_solver_config(cli.merge_spec(cli.build_parser().parse_args(argv)))
+def _merged(argv):
+    return cli.merge_spec(cli.build_parser().parse_args(argv))
 
 
 def test_solver_defaults_come_from_solver_config():
     assert cli.build_solver_config({}) == SolverConfig()
-    assert _config_from(["solve"]) == SolverConfig()
+    assert cli.build_solver_config(_merged(["solve"])) == SolverConfig()
 
 
-# A non-default text for every SolverConfig field; a field without a CLI
-# entry fails the test below.
-FIELD_TEXT = {"alpha_min": "0.25", "alpha_max": "0.5", "beta": "0.3", "c": "0.2",
+CONFIG_FIELDS = {f.name for f in dataclasses.fields(SolverConfig)}
+# A non-default text for every field; a table row or SolverConfig field
+# without an entry fails the test below.
+FIELD_TEXT = {"set": "sparse:n=3,s=1", "objective": "quartic", "x0": "0,1,0",
+              "alpha_min": "0.25", "alpha_max": "0.5", "beta": "0.3", "c": "0.2",
               "rule": "avg:p=0.5", "stat_tol": "1e-6", "max_iters": "7",
-              "max_backtracks": "9"}
+              "max_backtracks": "9", "algorithm": "p2gd", "stationarity": "proximal",
+              "out": "t.csv", "emit_plot_data": "arrows.csv"}
 
 
-@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SolverConfig)])
-def test_every_solver_field_is_a_flag_and_a_config_key(name, tmp_path):
+@pytest.mark.parametrize("name", sorted(set(cli._FIELDS) | CONFIG_FIELDS))
+def test_every_field_is_a_flag_and_a_config_key(name, tmp_path):
+    command = "solve" if cli._FIELDS[name].solve_only else "compare"
     flag = name.replace("_", "-")
-    from_flag = _config_from(["compare", f"--{flag}", FIELD_TEXT[name]])
-    value = getattr(from_flag, name)
-    assert value != getattr(SolverConfig(), name)
-    assert from_flag == dataclasses.replace(SolverConfig(), **{name: value})
+    from_flag = _merged([command, f"--{flag}", FIELD_TEXT[name]])
+    assert from_flag == {name: FIELD_TEXT[name]}
     for key in {name, flag}:
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(f"{key} = {FIELD_TEXT[name]}\n")
-        assert _config_from(["compare", "--config", str(cfg)]) == from_flag
+        assert _merged([command, "--config", str(cfg)]) == from_flag
+    if name in CONFIG_FIELDS:
+        value = getattr(cli.build_solver_config(from_flag), name)
+        assert value != getattr(SolverConfig(), name)
+        assert cli.build_solver_config(from_flag) == dataclasses.replace(SolverConfig(), **{name: value})
 
 
 def test_unknown_config_key_is_named(tmp_path, capsys):
@@ -216,7 +222,7 @@ def test_bad_choice_same_message_from_flag_and_file(command, values, message, tm
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("".join(f"{key} = {text}\n" for key, text in values.items()))
     flags = [arg for key, text in values.items() for arg in (f"--{key}", text)]
-    # x0 is off the set: the choice is checked before the problem is built.
+    # x0 is off the set: the choice is checked before the solver runs.
     problem = [command, "--set", "sparse:n=2,s=1", "--objective",
                "least-squares:target=1,0", "--x0", "5,5"]
     code_file, out_file, err_file = run_cli(problem + ["--config", str(cfg)], capsys)

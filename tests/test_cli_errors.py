@@ -1,7 +1,7 @@
 """Every CLI error path, byte for byte: stdout, stderr and exit code.
 
 Each case runs `python -m ncpgd.cli` in a fresh process with the default log
-level, in a scratch directory that holds the config file one case names.
+level, in a scratch directory that holds the config files the cases name.
 The golden file pins what a user sees, so a change of wording, stream or exit
 code shows as a diff.
 """
@@ -47,11 +47,26 @@ CASES = [
     ["solve", "--set", "sparse:n=2,s=1", "--x0", "0,1", "--objective", "constant:value=inf"],
     ["solve", "--set", "sparse:n=3,s=1,n=2", "--x0", "0,1", "--objective",
      "least-squares:target=1,0"],
+    ["solve"] + SPARSE + ["--x0", "0,1", "--config", "repeated-key.cfg"],
+    ["solve"] + SPARSE + ["--x0", "0,1", "--config", "repeated-spelling.cfg"],
+    ["solve"] + SPARSE + ["--x0", "0,1", "--out="],
+    ["compare"] + SPARSE + ["--x0", "0,1", "--config", "empty-plot-path.cfg"],
+    ["solve"] + SPARSE + ["--x0", "0,1", "--rule", "max:l=-1"],
+    ["solve"] + SPARSE + ["--x0", "0,1", "--rule", "avg:p=0"],
+    ["solve"] + SPARSE + ["--x0", "0,1", "--beta=--"],
 ]
+
+CONFIG_FILES = {
+    "unknown-key.cfg": "x0 = 0,1\nseed = 3\n",
+    "repeated-key.cfg": "max_iters = 1\n# a comment line\nmax_iters = 3\n",
+    "repeated-spelling.cfg": "max_iters = 1\nmax-iters = 3\n",
+    "empty-plot-path.cfg": "emit-plot-data =\n",
+}
 
 
 def cli_errors_text(workdir: Path) -> str:
-    (workdir / "unknown-key.cfg").write_text("x0 = 0,1\nseed = 3\n", encoding="utf-8")
+    for name, text in CONFIG_FILES.items():
+        (workdir / name).write_text(text, encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     env.pop("NCPGD_LOG", None)
     blocks = []
