@@ -23,6 +23,7 @@ from .sets import (
     InfeasiblePointError,
     SpecError,
     in_proximal_normal_witness,
+    parse_spec,
     projected_translation_check,
     proximal_normal_witness,
 )
@@ -90,9 +91,19 @@ def merge_spec(args: argparse.Namespace) -> dict[str, str]:
     for name in names:
         value = getattr(args, name)
         if value is not None:
-            # argparse drops the text of --name=-- and leaves [] in its place.
-            merged[name] = "--" if value == [] else value.strip()
+            merged[name] = value.strip()
     return merged
+
+
+class _Once(argparse.Action):
+    """Store a flag's text; a flag given twice is an error that names its field."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            field = "" if self.dest == "config" else f"field {self.dest!r}: "
+            raise SpecError(f"{field}flag {self.option_strings[0]} given more than once")
+        # argparse drops the text of --name=-- and leaves [] in its place.
+        setattr(namespace, self.dest, "--" if values == [] else values)
 
 
 def parse_point_field(text: str, shape: tuple[int, ...], field: str) -> Point:
@@ -112,35 +123,26 @@ def parse_point_field(text: str, shape: tuple[int, ...], field: str) -> Point:
 
 
 def parse_objective_field(text: str, shape: tuple[int, ...]) -> Objective:
-    kind, _, rest = text.strip().partition(":")
-    kind = kind.strip()
-    key, sep, value = rest.partition("=")
-    if kind == "least-squares" and key.strip() == "target" and sep:
-        return least_squares(parse_point_field(value, shape, "objective.target"))
-    if kind == "constant" and key.strip() == "value" and sep:
-        number = float(value)
-        if not math.isfinite(number):
-            raise SpecError(f"field 'objective': constant value must be finite, got {value!r}")
-        return constant(number)
-    if (kind, rest) == ("constant", ""):
-        return constant()
-    if (kind, rest) == ("quartic", ""):
+    kind, params = parse_spec("objective", text, {"least-squares": ("target",), "constant": ("value",),
+                                                  "quartic": ()}, optional=("value",))
+    if kind == "least-squares":
+        return least_squares(parse_point_field(params["target"], shape, "objective.target"))
+    if kind == "quartic":
         return quartic()
-    raise ValueError(f"not an objective spec: {text!r}")
+    value = params.get("value", "0")
+    number = float(value)
+    if not math.isfinite(number):
+        raise SpecError(f"field 'objective': constant value must be finite, got {value!r}")
+    return constant(number)
 
 
 def parse_rule_field(text: str) -> MaxRule | AverageRule:
-    kind, _, rest = text.strip().partition(":")
-    kind = kind.strip()
-    key, sep, value = rest.partition("=")
-    if (kind, rest) == ("max", ""):
-        return MaxRule(0)
-    if kind == "max" and key.strip() == "l" and sep:
-        rule, number = MaxRule, int(value)
-    elif kind in ("avg", "average") and key.strip() == "p" and sep:
-        rule, number = AverageRule, float(value)
+    kind, params = parse_spec("rule", text, {"max": ("l",), "avg": ("p",), "average": ("p",)},
+                              optional=("l",))
+    if kind == "max":
+        rule, number = MaxRule, int(params.get("l", "0"))
     else:
-        raise ValueError(f"not a rule spec: {text!r}")
+        rule, number = AverageRule, float(params["p"])
     try:
         return rule(number)
     except ValueError as err:
@@ -152,42 +154,75 @@ def _one_of(*choices: str):
     return lambda text: choices[choices.index(text)]
 
 
+def _suite(text: str) -> str:
+    """The text, if it names one of SUITES."""
+    if text not in SUITES:
+        raise SpecError(f"unknown suite {text!r}; known: {', '.join(sorted(SUITES))}")
+    return text
+
+
+def _at_least(low: int, flag: str, bound: str):
+    """A parser of an integer that is at least low, else '--flag must be bound'."""
+    def parse(text: str) -> int:
+        number = int(text)
+        if number < low:
+            raise SpecError(f"--{flag} must be {bound}, got {number}")
+        return number
+    return parse
+
+
+# The commands that also read their fields from a --config file, in either key spelling.
+_CONFIG_COMMANDS = ("solve", "compare")
+
+
 class _Field(NamedTuple):
-    """One solve/compare field: flag --name with '-' for '_', config key either way."""
+    """One field of the commands it belongs to: flag --name with '-' for '_'."""
 
     expected: str  # what the text must be; also the flag's help
     parse: Callable[..., object]
+    commands: tuple[str, ...] = _CONFIG_COMMANDS
     required: bool = False
-    solve_only: bool = False
+    shaped: bool = False  # parse also takes the set's ambient shape
 
 
-# Every solve/compare field, in flag order. The objective and x0 parsers take the set's
-# shape too; they and the set parser look their function up when called, so that a
-# wrapper set on the module attribute sees each call.
+# Every field of every command, in parse order: a command's set comes before the fields
+# its shape fixes. The shaped parsers and the set parser look their function up when
+# called, so that a wrapper set on the module attribute sees each call.
 _FIELDS = {
     "set": _Field("a set spec, e.g. sparse:n=2,s=1", lambda text: sets.from_spec(text),
-                  required=True),
+                  ("solve", "compare", "cones"), required=True),
     "objective": _Field("least-squares:target=<coords>, constant[:value=<number>] or quartic",
-                        lambda text, shape: parse_objective_field(text, shape), required=True),
+                        lambda text, shape: parse_objective_field(text, shape), required=True, shaped=True),
     "x0": _Field("comma-separated coordinates (row-major for matrices)",
-                 lambda text, shape: parse_point_field(text, shape, "x0"), required=True),
+                 lambda text, shape: parse_point_field(text, shape, "x0"), required=True, shaped=True),
     "alpha_min": _Field("a number", float),
     "alpha_max": _Field("a number", float),
     "beta": _Field("a number", float),
     "c": _Field("a number", float),
-    "rule": _Field("max:l=K or avg:p=P", parse_rule_field),
+    "rule": _Field("max[:l=K] or avg:p=P", parse_rule_field),
     "stat_tol": _Field("a number", float),
     "max_iters": _Field("an integer", int),
     "max_backtracks": _Field("an integer", int),
-    "algorithm": _Field("pgd or p2gd", _one_of("pgd", "p2gd"), solve_only=True),
+    "algorithm": _Field("pgd or p2gd", _one_of("pgd", "p2gd"), ("solve",)),
     "stationarity": _Field("regular or proximal", _one_of("regular", "proximal")),
     "out": _Field("a file path for the CSV trace (default: stdout)", str),
     "emit_plot_data": _Field("a file path for the point/arrow series for plotting", str),
+    "x": _Field("comma-separated coordinates of a point of the set",
+                lambda text, shape: parse_point_field(text, shape, "x"), ("cones",),
+                required=True, shaped=True),
+    "v": _Field("comma-separated coordinates of a direction",
+                lambda text, shape: parse_point_field(text, shape, "v"), ("cones",),
+                required=True, shaped=True),
+    "suite": _Field("armijo-postcondition, projected-translation or prox-equals-regular", _suite,
+                    ("check",), required=True),
+    "seed": _Field("a non-negative integer", _at_least(0, "seed", "non-negative"), ("check",)),
+    "trials": _Field("a positive integer, the trial count (prox-equals-regular: points per stratum)",
+                     _at_least(1, "trials", "at least 1"), ("check",)),
 }
 
 
 def _command_fields(command: str) -> list[str]:
-    return [name for name, f in _FIELDS.items() if command == "solve" or not f.solve_only]
+    return [name for name, f in _FIELDS.items() if command in f.commands]
 
 
 def _field_value(merged: dict[str, str], name: str, *shape):
@@ -195,8 +230,6 @@ def _field_value(merged: dict[str, str], name: str, *shape):
     Empty text, or a ValueError other than SpecError, is the 'expected' error."""
     field = _FIELDS[name]
     text = merged.get(name)
-    if field.required and not text:
-        raise SpecError(f"field {name!r} is required (flag --{name.replace('_', '-')} or config file)")
     if text is None:
         return None
     try:
@@ -209,14 +242,31 @@ def _field_value(merged: dict[str, str], name: str, *shape):
     raise SpecError(f"field {name!r}: expected {field.expected}, got {text!r}")
 
 
-def build_solver_config(merged: dict[str, str]) -> SolverConfig:
-    """SolverConfig from the fields a flag or the config file set."""
-    given = {f.name: _field_value(merged, f.name)
-             for f in dataclasses.fields(SolverConfig) if f.name in merged}
+def parse_fields(command: str, merged: dict[str, str]) -> dict[str, object]:
+    """Every field of the command, in table order, parsed from its text in merged (None if absent)."""
+    values: dict[str, object] = {}
+    for name in _command_fields(command):
+        if _FIELDS[name].required and not merged.get(name):
+            source = " or config file" if command in _CONFIG_COMMANDS else ""
+            raise SpecError(f"field {name!r} is required (flag --{name.replace('_', '-')}{source})")
+        shape = (values["set"].ambient_shape,) if _FIELDS[name].shaped else ()
+        values[name] = _field_value(merged, name, *shape)
+    return values
+
+
+def _solver_config(values: dict[str, object]) -> SolverConfig:
+    """SolverConfig from parsed field values; a field that is None takes its default."""
+    given = {f.name: values[f.name] for f in dataclasses.fields(SolverConfig)
+             if values.get(f.name) is not None}
     try:
         return SolverConfig(**given)
     except (ValueError, TypeError) as err:
         raise SpecError(f"bad solver configuration: {err}") from None
+
+
+def build_solver_config(merged: dict[str, str]) -> SolverConfig:
+    """SolverConfig from the fields a flag or the config file set."""
+    return _solver_config({f.name: _field_value(merged, f.name) for f in dataclasses.fields(SolverConfig)})
 
 
 # -- CSV output ---------------------------------------------------------------
@@ -305,22 +355,18 @@ def write_plot_data_csv(fh, traces: dict[str, Trace], targets: dict[str, list[Po
 
 # -- commands -----------------------------------------------------------------
 
-def _build_problem(merged: dict[str, str]):
+def _build_problem(command: str, merged: dict[str, str]):
     """Every field's value, parsed before the solver runs so that a bad one stops the command."""
-    set_ = _field_value(merged, "set")
-    obj = _field_value(merged, "objective", set_.ambient_shape)
-    x0 = _field_value(merged, "x0", set_.ambient_shape)
-    cfg = build_solver_config(merged)
+    values = parse_fields(command, merged)
+    cfg = _solver_config(values)
     # Checked before the solver runs: the classification tolerance is 10 * stat_tol.
     if not math.isfinite(10.0 * cfg.stat_tol):
         raise SpecError(f"field 'stat_tol': the classification tolerance 10 * stat_tol "
                         f"overflows, got {merged['stat_tol']!r}")
-    rest = {name: _field_value(merged, name)
-            for name in ("algorithm", "stationarity", "out", "emit_plot_data")}
-    if rest["algorithm"] == "p2gd" and rest["stationarity"]:
+    if values.get("algorithm") == "p2gd" and values["stationarity"]:
         raise SpecError("field 'stationarity' applies to algorithm pgd only "
                         "(p2gd stops on the norm of its tangent direction)")
-    return set_, obj, x0, cfg, rest
+    return values["set"], values["objective"], values["x0"], cfg, values
 
 
 def _csv_file(path: str | None):
@@ -336,7 +382,7 @@ def _summary_line(name: str, set_: FeasibleSet, obj: Objective, trace: Trace,
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    set_, obj, x0, cfg, rest = _build_problem(merge_spec(args))
+    set_, obj, x0, cfg, rest = _build_problem("solve", merge_spec(args))
     algorithm = rest["algorithm"] or "pgd"
     if algorithm == "pgd":
         trace = pgd(set_, obj, x0, cfg, stationarity=rest["stationarity"] or "regular")
@@ -360,7 +406,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    set_, obj, x0, cfg, rest = _build_problem(merge_spec(args))
+    set_, obj, x0, cfg, rest = _build_problem("compare", merge_spec(args))
     traces = {"pgd": pgd(set_, obj, x0, cfg, stationarity=rest["stationarity"] or "regular"),
               "p2gd": p2gd(set_, obj, x0, cfg)}
     classify_tol = 10.0 * cfg.stat_tol
@@ -386,9 +432,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_cones(args: argparse.Namespace) -> int:
-    set_ = sets.from_spec(args.set)
-    x = parse_point_field(args.x, set_.ambient_shape, "x")
-    v = parse_point_field(args.v, set_.ambient_shape, "v")
+    fields = parse_fields("cones", merge_spec(args))
+    set_, x, v = fields["set"], fields["x"], fields["v"]
     if not set_.contains(x):
         raise InfeasiblePointError(f"x is not on {set_!r}")
     print(f"set: {set_!r}")
@@ -520,17 +565,12 @@ SUITES = {
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    if args.suite not in SUITES:
-        raise SpecError(f"unknown suite {args.suite!r}; known: {', '.join(sorted(SUITES))}")
-    fn, default_trials = SUITES[args.suite]
-    trials = args.trials if args.trials is not None else default_trials
-    if trials < 1:
-        raise SpecError(f"--trials must be at least 1, got {trials}")
-    if args.seed < 0:
-        raise SpecError(f"--seed must be non-negative, got {args.seed}")
-    passed, detail = fn(args.seed, trials)
+    fields = parse_fields("check", merge_spec(args))
+    suite, seed = fields["suite"], fields["seed"] or 0
+    fn, default_trials = SUITES[suite]
+    passed, detail = fn(seed, fields["trials"] or default_trials)
     status = "PASS" if passed else "FAIL"
-    print(f"suite {args.suite}: {status} (seed={args.seed})")
+    print(f"suite {suite}: {status} (seed={seed})")
     for line in detail:
         print(("  " if passed else "  counterexample: ") + line)
     return EXIT_OK if passed else EXIT_SUITE
@@ -547,26 +587,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     for command, fn, about in (("solve", cmd_solve, "run one algorithm and emit a CSV trace"),
-                               ("compare", cmd_compare, "run pgd and p2gd side by side")):
+                               ("compare", cmd_compare, "run pgd and p2gd side by side"),
+                               ("cones", cmd_cones, "query the cones of a set at a point"),
+                               ("check", cmd_check, "run a randomized property suite")):
         p = sub.add_parser(command, help=about)
-        p.add_argument("--config", help="flat key=value config file; flags override it")
+        if command in _CONFIG_COMMANDS:
+            p.add_argument("--config", action=_Once, help="flat key=value config file; flags override it")
         for name in _command_fields(command):
-            p.add_argument("--" + name.replace("_", "-"), dest=name, help=_FIELDS[name].expected)
-        p.set_defaults(fn=fn)
-
-    p_cones = sub.add_parser("cones", help="query the cones of a set at a point")
-    p_cones.add_argument("--set", required=True)
-    p_cones.add_argument("--x", required=True)
-    p_cones.add_argument("--v", required=True)
-    p_cones.set_defaults(fn=cmd_cones)
-
-    p_check = sub.add_parser("check", help="run a randomized property suite")
-    p_check.add_argument("--suite", required=True,
-                         help=f"one of: {', '.join(sorted(SUITES))}")
-    p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--trials", type=int,
-                         help="trial count (for prox-equals-regular: points per stratum)")
-    p_check.set_defaults(fn=cmd_check)
+            p.add_argument("--" + name.replace("_", "-"), dest=name, action=_Once,
+                           help=_FIELDS[name].expected)
+        p.set_defaults(fn=fn, config=None)
 
     return parser
 
@@ -587,10 +617,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        return args.fn(args)
     except SystemExit as err:
         return EXIT_USAGE if err.code not in (0, None) else EXIT_OK
-    try:
-        return args.fn(args)
     except InfeasiblePointError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INFEASIBLE

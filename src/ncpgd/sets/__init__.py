@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import re
 
 from .base import (
     DEFAULT_TOL,
@@ -44,6 +45,7 @@ _KINDS = {
     "epigraph": ("curves", "EpigraphSet", ()),
 }
 _CLASS_MODULES = {cls: module for module, cls, _ in _KINDS.values()}
+_SPEC_FIELDS = {kind: fields for kind, (_, _, fields) in _KINDS.items()}
 
 
 class SpecError(ValueError):
@@ -67,44 +69,56 @@ def __dir__() -> list[str]:
     return sorted(set(globals()) | set(_CLASS_MODULES))
 
 
-def _parse_params(kind: str, text: str, required: tuple[str, ...]) -> dict[str, int]:
-    params: dict[str, int] = {}
-    if text:
-        for item in text.split(","):
-            key, sep, value = item.partition("=")
-            key = key.strip()
-            if not sep or not key:
-                raise SpecError(f"set spec {kind!r}: expected key=value, got {item!r}")
-            if key in params:
-                raise SpecError(f"set spec {kind!r}: duplicate field {key!r}")
-            try:
-                params[key] = int(value)
-            except ValueError:
-                raise SpecError(f"set spec {kind!r}: field {key!r} must be an integer, got {value!r}") from None
-    missing = [k for k in required if k not in params]
+# A value runs up to the next ",<key>=", so the coordinates of target=1,0 keep their comma.
+# A pattern, not a compiled one: re compiles it on the first spec, not at import.
+_FIELD_START = r",(?=\s*[^\W\d]\w*\s*=)"
+
+
+def parse_spec(family: str, spec: str, kinds: dict[str, tuple[str, ...]],
+               optional: tuple[str, ...] = ()) -> tuple[str, dict[str, str]]:
+    """The kind and the text of each field of ``kind[:key=value,...]``, checked against
+    kinds (kind -> its fields, each required unless optional); an error names the family."""
+    kind, _, body = spec.strip().partition(":")
+    kind = kind.strip()
+    if kind not in kinds:
+        raise SpecError(f"unknown {family} kind {kind!r}; expected one of {', '.join(kinds)}")
+    fields = kinds[kind]
+    if body and not fields:
+        raise SpecError(f"{family} spec {kind!r} takes no parameters, got {body!r}")
+    params: dict[str, str] = {}
+    for item in re.split(_FIELD_START, body) if body else ():
+        key, sep, value = item.partition("=")
+        key = key.strip()
+        if not sep or not key:
+            raise SpecError(f"{family} spec {kind!r}: expected key=value, got {item!r}")
+        if key in params:
+            raise SpecError(f"{family} spec {kind!r}: duplicate field {key!r}")
+        params[key] = value
+    missing = [k for k in fields if k not in params and k not in optional]
     if missing:
-        raise SpecError(f"set spec {kind!r}: missing field(s) {', '.join(missing)}")
-    extra = [k for k in params if k not in required]
+        raise SpecError(f"{family} spec {kind!r}: missing field(s) {', '.join(missing)}")
+    extra = [k for k in params if k not in fields]
     if extra:
-        raise SpecError(f"set spec {kind!r}: unknown field(s) {', '.join(extra)}")
-    return params
+        raise SpecError(f"{family} spec {kind!r}: unknown field(s) {', '.join(extra)}")
+    return kind, params
 
 
 def from_spec(spec: str) -> FeasibleSet:
-    """Build a feasible set from a string spec.
+    """Build a feasible set from a string spec in the spec grammar of the README's CLI
+    section, which ``parse_spec`` reads.
 
     Recognized forms: ``sparse:n=10,s=3``, ``nonneg-sparse:n=10,s=3``,
     ``lowrank:m=8,n=8,r=2``, ``psd:n=6,r=2``, ``curve``, ``epigraph``.
     """
-    kind, _, rest = spec.strip().partition(":")
-    kind = kind.strip()
-    if kind not in _KINDS:
-        raise SpecError(f"unknown set kind {kind!r}; expected one of {', '.join(_KINDS)}")
+    kind, params = parse_spec("set", spec, _SPEC_FIELDS)
     module, name, fields = _KINDS[kind]
-    if rest and not fields:
-        raise SpecError(f"set spec {kind!r} takes no parameters, got {rest!r}")
-    p = _parse_params(kind, rest, fields)
+    args = []
+    for key in fields:
+        try:
+            args.append(int(params[key]))
+        except ValueError:
+            raise SpecError(f"set spec {kind!r}: field {key!r} must be an integer, got {params[key]!r}") from None
     try:
-        return _load(module, name)(*(p[k] for k in fields))
+        return _load(module, name)(*args)
     except ValueError as err:
         raise SpecError(f"set spec {kind!r}: {err}") from None

@@ -145,19 +145,30 @@ FIELD_TEXT = {"set": "sparse:n=3,s=1", "objective": "quartic", "x0": "0,1,0",
               "alpha_min": "0.25", "alpha_max": "0.5", "beta": "0.3", "c": "0.2",
               "rule": "avg:p=0.5", "stat_tol": "1e-6", "max_iters": "7",
               "max_backtracks": "9", "algorithm": "p2gd", "stationarity": "proximal",
-              "out": "t.csv", "emit_plot_data": "arrows.csv"}
+              "out": "t.csv", "emit_plot_data": "arrows.csv", "x": "0,1,0", "v": "1,0,0",
+              "suite": "prox-equals-regular", "seed": "3", "trials": "2"}
 
 
 @pytest.mark.parametrize("name", sorted(set(cli._FIELDS) | CONFIG_FIELDS))
 def test_every_field_is_a_flag_and_a_config_key(name, tmp_path):
-    command = "solve" if cli._FIELDS[name].solve_only else "compare"
+    # A row is a flag of each command it belongs to; it is a config key of solve and
+    # compare only, since cones and check take no --config.
     flag = name.replace("_", "-")
-    from_flag = _merged([command, f"--{flag}", FIELD_TEXT[name]])
-    assert from_flag == {name: FIELD_TEXT[name]}
-    for key in {name, flag}:
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text(f"{key} = {FIELD_TEXT[name]}\n")
-        assert _merged([command, "--config", str(cfg)]) == from_flag
+    cfg = tmp_path / "exp.cfg"
+    for command in cli._FIELDS[name].commands:
+        from_flag = _merged([command, f"--{flag}", FIELD_TEXT[name]])
+        assert from_flag == {name: FIELD_TEXT[name]}
+        for key in {name, flag}:
+            cfg.write_text(f"{key} = {FIELD_TEXT[name]}\n")
+            if command in cli._CONFIG_COMMANDS:
+                assert _merged([command, "--config", str(cfg)]) == from_flag
+            else:
+                with pytest.raises(SystemExit):
+                    _merged([command, "--config", str(cfg)])
+    if not set(cli._CONFIG_COMMANDS) & set(cli._FIELDS[name].commands):
+        cfg.write_text(f"{name} = {FIELD_TEXT[name]}\n")
+        with pytest.raises(cli.SpecError, match=f"unknown key\\(s\\) {name!r}"):
+            _merged(["solve", "--config", str(cfg)])
     if name in CONFIG_FIELDS:
         value = getattr(cli.build_solver_config(from_flag), name)
         assert value != getattr(SolverConfig(), name)
@@ -189,6 +200,18 @@ def test_bad_value_same_message_from_flag_and_file(key, text, tmp_path, capsys):
     assert code_file == code_flag == cli.EXIT_USAGE
     assert err_file == err_flag
     assert err_flag.startswith(f"error: field {key!r}")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["check", "--suite", "projected-translation", "--trials", "2", "--trials", "3"],
+     "field 'trials': flag --trials given more than once"),
+    (SOLVE_ARGS + ["--max-it", "1", "--max-iters", "3"],
+     "field 'max_iters': flag --max-iters given more than once"),
+    (SOLVE_ARGS + ["--config", "a.cfg", "--config", "b.cfg"], "flag --config given more than once"),
+])
+def test_a_flag_given_twice_is_an_error(argv, message, capsys):
+    # Checked while the command line is read: no file is opened and no suite runs.
+    assert run_cli(argv, capsys) == (cli.EXIT_USAGE, "", f"error: {message}\n")
 
 
 def test_initial_step_is_neither_a_flag_nor_a_config_key(tmp_path, capsys):

@@ -54,6 +54,9 @@ CASES = [
     ["solve"] + SPARSE + ["--x0", "0,1", "--rule", "max:l=-1"],
     ["solve"] + SPARSE + ["--x0", "0,1", "--rule", "avg:p=0"],
     ["solve"] + SPARSE + ["--x0", "0,1", "--beta=--"],
+    ["solve"] + SPARSE + ["--x0", "0,1", "--max-iters", "1", "--max-iters", "3"],
+    ["cones", "--set", "sparse:n=2,s=1", "--x", "0,1", "--v", "1,0", "--x", "1,0"],
+    ["check", "--suite", "projected-translation", "--seed", "abc"],
 ]
 
 CONFIG_FILES = {

@@ -1,7 +1,8 @@
-"""Arbitrary text in every solve/compare field, from a flag and from a config file.
+"""Arbitrary text in every field of every command, from a flag and from a config file.
 
-Each example puts one text into one row of `cli._FIELDS` and must end in
-exactly one of two ways, the same from the flag `--name=<text>` and from the
+Each example puts one text into one row of `cli._FIELDS`, under one of the
+commands the row belongs to, and must end in exactly one of two ways, the
+same from the flag `--name=<text>` and, for solve and compare, from the
 config-file line `name = <text>` (key written with '_' or '-'):
 - the text parses to a value whose printed form (through `cli._fmt` or `str`)
   is not empty and parses to the same value;
@@ -10,6 +11,8 @@ config-file line `name = <text>` (key written with '_' or '-'):
 
 Any other exception is a traceback a user would see. Every other field is
 given a valid value, so the first error `main` meets is the fuzzed field's.
+Only the error path runs a command, and it stops before a solver or a suite
+runs.
 """
 
 import contextlib
@@ -23,7 +26,10 @@ from hypothesis import strategies as st
 
 from ncpgd import AverageRule, MaxRule, Objective, Point, SolverConfig, cli
 
-BASE = {"set": "sparse:n=2,s=1", "objective": "least-squares:target=1,0", "x0": "0,1"}
+BASE = {"solve": {"set": "sparse:n=2,s=1", "objective": "least-squares:target=1,0", "x0": "0,1"},
+        "cones": {"set": "sparse:n=2,s=1", "x": "0,1", "v": "1,0"},
+        "check": {"suite": "projected-translation"}}
+BASE["compare"] = BASE["solve"]
 SHAPE = (2,)
 CONFIG_FIELDS = {f.name for f in dataclasses.fields(SolverConfig)}
 
@@ -41,6 +47,9 @@ FORMS = {
     "objective": ["least-squares:target={},{}", "least-squares:target={}", "constant:value={}",
                   "constant", "quartic", "quartic:{}"],
     "x0": ["{},{}", "{},{},{}", "{}"],
+    "x": ["{},{}", "{},{},{}", "{}"],
+    "v": ["{},{}", "{},{},{}", "{}"],
+    "suite": sorted(cli.SUITES) + ["{}"],
     "rule": ["max:l={}", "max", "avg:p={}", "average:p={}", "max:p={}"],
     "algorithm": ["pgd", "p2gd", "{}"],
     "stationarity": ["regular", "proximal", "{}"],
@@ -88,20 +97,23 @@ def _printed(value) -> str:
 
 
 def _argv(command: str, name: str, *extra: str) -> list[str]:
-    base = [arg for other, text in BASE.items() if other != name for arg in (f"--{other}", text)]
+    base = [arg for other, text in BASE[command].items() if other != name
+            for arg in (f"--{other}", text)]
     return [command, *base, *extra]
 
 
-def _outcome(name: str, argv: list[str]):
+def _outcome(command: str, name: str, argv: list[str]):
     """('value', printed value) or ('error', message) of the field `name` in argv."""
     try:
         merged = cli.merge_spec(cli.build_parser().parse_args(argv))
-        if name == "set":
+        if name == "set" and merged.get("set"):
+            # The set is parsed first, alone; the base points need not fit its shape.
             value = cli._field_value(merged, "set")
+        elif command in cli._CONFIG_COMMANDS:
+            *_, cfg, values = cli._build_problem(command, merged)
+            value = getattr(cfg, name) if name in CONFIG_FIELDS else values[name]
         else:
-            _, obj, x0, cfg, rest = cli._build_problem(merged)
-            value = getattr(cfg, name) if name in CONFIG_FIELDS else {
-                "objective": obj, "x0": x0, **rest}[name]
+            value = cli.parse_fields(command, merged)[name]
     except cli.SpecError as err:
         return "error", str(err)
     return "value", _printed(value)
@@ -114,20 +126,22 @@ def config_path(tmp_path_factory):
 
 @pytest.mark.parametrize("name", list(cli._FIELDS))
 @settings(max_examples=40, derandomize=True, deadline=None)
-@given(data=st.data(), dashed=st.booleans(), compare=st.booleans())
-def test_every_field_parses_and_prints_back_or_names_itself(name, data, dashed, compare,
-                                                           config_path):
+@given(data=st.data(), dashed=st.booleans())
+def test_every_field_parses_and_prints_back_or_names_itself(name, data, dashed, config_path):
     text = data.draw(_texts(name), label="text")
-    command = "compare" if compare and not cli._FIELDS[name].solve_only else "solve"
+    command = data.draw(st.sampled_from(cli._FIELDS[name].commands), label="command")
     flag = name.replace("_", "-")
-    from_flag = _outcome(name, _argv(command, name, f"--{flag}={text}"))
-    config_path.write_text(f"{flag if dashed else name} = {text}\n", encoding="utf-8")
-    assert _outcome(name, _argv(command, name, "--config", str(config_path))) == from_flag
+    from_flag = _outcome(command, name, _argv(command, name, f"--{flag}={text}"))
+    if command in cli._CONFIG_COMMANDS:
+        config_path.write_text(f"{flag if dashed else name} = {text}\n", encoding="utf-8")
+        assert _outcome(command, name,
+                        _argv(command, name, "--config", str(config_path))) == from_flag
     kind, detail = from_flag
     if kind == "value":
         # An empty text has no value to stand for: taking one would be a default.
         assert detail
-        assert _outcome(name, _argv(command, name, f"--{flag}={detail}")) == from_flag
+        assert _outcome(command, name,
+                        _argv(command, name, f"--{flag}={detail}")) == from_flag
         return
     assert "\n" not in detail and re.search(rf"\b{name}\b", detail), detail
     out, err = io.StringIO(), io.StringIO()

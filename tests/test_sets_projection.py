@@ -12,9 +12,10 @@ from ncpgd import (
     PsdLowRankSet,
     ShapeError,
     SparseSet,
+    cli,
     norm,
 )
-from ncpgd.sets import from_spec
+from ncpgd.sets import SpecError, from_spec, parse_spec
 from ncpgd.sets.curves import _nearest_parameter
 
 from helpers import (
@@ -252,23 +253,69 @@ def test_from_spec_parses_every_shipped_set():
         assert isinstance(from_spec(spec), cls)
 
 
-def test_from_spec_diagnostics():
-    with pytest.raises(ValueError, match="missing field"):
-        from_spec("sparse:n=10")
-    with pytest.raises(ValueError, match="unknown set kind"):
-        from_spec("ball:r=1")
-    with pytest.raises(ValueError, match="must be an integer"):
+# The structural errors of a spec kind[:key=value,...], one template each for every
+# family that ncpgd parses with the one spec grammar.
+SPEC_TEMPLATES = {
+    "unknown kind": "unknown {family} kind {kind!r}; expected one of {kinds}",
+    "duplicate field": "{family} spec {kind!r}: duplicate field {detail!r}",
+    "missing field": "{family} spec {kind!r}: missing field(s) {detail}",
+    "unknown field": "{family} spec {kind!r}: unknown field(s) {detail}",
+    "no parameters": "{family} spec {kind!r} takes no parameters, got {detail!r}",
+    "not key=value": "{family} spec {kind!r}: expected key=value, got {detail!r}",
+}
+# Per family: its parser, its kinds, and (error, spec, kind, detail) cases. No rule
+# kind is without parameters.
+SPEC_FAMILIES = {
+    "set": (from_spec, "sparse, nonneg-sparse, lowrank, psd, curve, epigraph", [
+        ("unknown kind", "ball:r=1", "ball", None),
+        ("duplicate field", "sparse:n=3,s=1,n=2", "sparse", "n"),
+        ("duplicate field", "lowrank:m=3,n=3,r=1,r=2", "lowrank", "r"),
+        ("missing field", "sparse:n=10", "sparse", "s"),
+        ("unknown field", "psd:n=6,r=2,k=1", "psd", "k"),
+        ("no parameters", "curve:x=1", "curve", "x=1"),
+        ("not key=value", "sparse:10,s=3", "sparse", "10"),
+    ]),
+    "objective": (lambda spec: cli.parse_objective_field(spec, (2,)),
+                  "least-squares, constant, quartic", [
+        ("unknown kind", "cubic", "cubic", None),
+        ("duplicate field", "least-squares:target=1,0,target=1,0", "least-squares", "target"),
+        ("missing field", "least-squares", "least-squares", "target"),
+        ("unknown field", "constant:value=1,scale=2", "constant", "scale"),
+        ("no parameters", "quartic:p=4", "quartic", "p=4"),
+        ("not key=value", "constant:1", "constant", "1"),
+    ]),
+    "rule": (cli.parse_rule_field, "max, avg, average", [
+        ("unknown kind", "min:l=1", "min", None),
+        ("duplicate field", "max:l=1,l=2", "max", "l"),
+        ("missing field", "avg", "avg", "p"),
+        ("unknown field", "max:p=1", "max", "p"),
+        ("not key=value", "max:1", "max", "1"),
+    ]),
+}
+
+
+@pytest.mark.parametrize("family", SPEC_FAMILIES)
+def test_from_spec_diagnostics(family):
+    parse, kinds, cases = SPEC_FAMILIES[family]
+    for error, spec, kind, detail in cases:
+        with pytest.raises(SpecError) as err:
+            parse(spec)
+        assert str(err.value) == SPEC_TEMPLATES[error].format(family=family, kind=kind,
+                                                               detail=detail, kinds=kinds)
+
+
+def test_from_spec_rejects_a_non_integer_field():
+    with pytest.raises(SpecError, match="^set spec 'sparse': field 's' must be an integer, got 'three'$"):
         from_spec("sparse:n=10,s=three")
-    with pytest.raises(ValueError, match="unknown field"):
-        from_spec("psd:n=6,r=2,k=1")
-    with pytest.raises(ValueError, match="^set spec 'sparse': duplicate field 'n'$"):
-        from_spec("sparse:n=3,s=1,n=2")
-    with pytest.raises(ValueError, match="^set spec 'lowrank': duplicate field 'r'$"):
-        from_spec("lowrank:m=3,n=3,r=1,r=2")
-    with pytest.raises(ValueError) as err:
-        from_spec("curve:x=1")
-    assert str(err.value) == "set spec 'curve' takes no parameters, got 'x=1'"
-    with pytest.raises(ValueError) as err:
-        from_spec("ball:r=1")
-    assert str(err.value) == ("unknown set kind 'ball'; expected one of "
-                              "sparse, nonneg-sparse, lowrank, psd, curve, epigraph")
+
+
+@pytest.mark.parametrize("spec,fields", [
+    ("least-squares:target=1,0,0,0", {"target": "1,0,0,0"}),
+    ("least-squares: target = 1, 0", {"target": " 1, 0"}),
+    ("constant:value=nan", {"value": "nan"}),
+    ("constant", {}),
+    ("max:", {}),
+])
+def test_a_value_runs_up_to_the_next_key(spec, fields):
+    kinds = {"least-squares": ("target",), "constant": ("value",), "max": ("l",)}
+    assert parse_spec("objective", spec, kinds, optional=("value", "l"))[1] == fields
