@@ -95,17 +95,6 @@ def merge_spec(args: argparse.Namespace) -> dict[str, str]:
     return merged
 
 
-class _Once(argparse.Action):
-    """Store a flag's text; a flag given twice is an error that names its field."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        if getattr(namespace, self.dest) is not None:
-            field = "" if self.dest == "config" else f"field {self.dest!r}: "
-            raise SpecError(f"{field}flag {self.option_strings[0]} given more than once")
-        # argparse drops the text of --name=-- and leaves [] in its place.
-        setattr(namespace, self.dest, "--" if values == [] else values)
-
-
 def parse_point_field(text: str, shape: tuple[int, ...], field: str) -> Point:
     tokens = text.split(",")
     if not all(tok.strip() for tok in tokens):
@@ -579,23 +568,45 @@ def cmd_check(args: argparse.Namespace) -> int:
 # -- entry point --------------------------------------------------------------
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """Reads each flag but --help by its full name, as --name=text or as --name and the next
+    token unless that is a flag, and keeps its text as typed; a flag given twice is an error.
+    argparse reads the rest: --help, an unknown flag and a flag with no text."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        flags, tokens, texts, rest = self._option_string_actions, list(args), {}, []
+        while tokens:
+            token = tokens.pop(0)
+            flag, eq, text = token.partition("=")
+            dest = getattr(flags.get(flag), "dest", "help")  # no flag: left to argparse
+            if dest == "help" or not (eq or tokens and tokens[0].partition("=")[0] not in flags):
+                rest.append(token)
+                continue
+            if dest in texts:
+                field = "" if dest == "config" else f"field {dest!r}: "
+                raise SpecError(f"{field}flag {flag} given more than once")
+            texts[dest] = text if eq else tokens.pop(0)
+        namespace, extras = super().parse_known_args(rest, namespace)
+        vars(namespace).update(texts)
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="ncpgd",
+        prog="ncpgd", allow_abbrev=False,
         description="Projected gradient descent on nonconvex closed sets, "
                     "with cone queries and stationarity certification.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     for command, fn, about in (("solve", cmd_solve, "run one algorithm and emit a CSV trace"),
                                ("compare", cmd_compare, "run pgd and p2gd side by side"),
                                ("cones", cmd_cones, "query the cones of a set at a point"),
                                ("check", cmd_check, "run a randomized property suite")):
-        p = sub.add_parser(command, help=about)
+        p = sub.add_parser(command, help=about, allow_abbrev=False)
         if command in _CONFIG_COMMANDS:
-            p.add_argument("--config", action=_Once, help="flat key=value config file; flags override it")
+            p.add_argument("--config", help="flat key=value config file; flags override it")
         for name in _command_fields(command):
-            p.add_argument("--" + name.replace("_", "-"), dest=name, action=_Once,
-                           help=_FIELDS[name].expected)
+            p.add_argument("--" + name.replace("_", "-"), dest=name, help=_FIELDS[name].expected)
         p.set_defaults(fn=fn, config=None)
 
     return parser

@@ -73,9 +73,10 @@ class _BoundedRank(FeasibleSet):
     numerical rank k.
     """
 
-    def __init__(self, shape: tuple[int, int], r: int):
+    def __init__(self, shape: tuple[int, int], r: int, sides: tuple[int, ...]):
         super().__init__(shape)
         self.r = r
+        self._sides = sides  # the row counts of random_point's bases: one per side, one if PSD
 
     @property
     def stratum_ids(self):
@@ -100,6 +101,16 @@ class _BoundedRank(FeasibleSet):
     def stratum_id(self, x: Point, tol: float | None = None) -> int:
         return self._factors(x, tol)[2]
 
+    def random_point(self, rng: np.random.Generator, stratum: int | None = None) -> Point:
+        """U diag(s) V^T of rank k, the stratum's: U and V the Q factors of normal draws, one
+        per side (one basis, V = U, on a PSD set), then s uniform in [0.5, 1.5]."""
+        k = self._pick_stratum(rng, stratum)
+        if k == 0:
+            return Point.zeros(self.ambient_shape)
+        Q = [np.linalg.qr(rng.standard_normal((side, k)))[0] for side in self._sides]
+        s = rng.uniform(0.5, 1.5, size=k)
+        return Point((Q[0] * s) @ Q[-1].T, self.ambient_shape)
+
 
 class LowRankSet(_BoundedRank):
     """Matrices of R^{m x n} with rank at most r (0 < r < min(m, n)).
@@ -112,7 +123,7 @@ class LowRankSet(_BoundedRank):
         m, n, r = int(m), int(n), int(r)
         if not 0 < r < min(m, n):
             raise ValueError(f"need 0 < r < min(m, n), got m={m}, n={n}, r={r}")
-        super().__init__((m, n), r)
+        super().__init__((m, n), r, (m, n))
         self.m = m
         self.n = n
 
@@ -188,15 +199,6 @@ class LowRankSet(_BoundedRank):
             out = out + (Ub[:, :free] * sb[:free]) @ Vbt[:free]
         return Point._of(out.reshape(-1), (self.m, self.n))
 
-    def random_point(self, rng: np.random.Generator, stratum: int | None = None) -> Point:
-        k = self._pick_stratum(rng, stratum)
-        if k == 0:
-            return Point.zeros((self.m, self.n))
-        Qu, _ = np.linalg.qr(rng.standard_normal((self.m, k)))
-        Qv, _ = np.linalg.qr(rng.standard_normal((self.n, k)))
-        sigma = rng.uniform(0.5, 1.5, size=k)
-        return Point((Qu * sigma) @ Qv.T, (self.m, self.n))
-
     def sample_regular_normal(self, x: Point, v_rng: np.random.Generator,
                               tol: float | None = None) -> Point:
         U, Vt, k = self._factors(x, tol)
@@ -218,7 +220,7 @@ class PsdLowRankSet(_BoundedRank):
         n, r = int(n), int(r)
         if not 0 < r < n:
             raise ValueError(f"need 0 < r < n, got n={n}, r={r}")
-        super().__init__((n, n), r)
+        super().__init__((n, n), r, (n,))
         self.n = n
 
     def __repr__(self):
@@ -300,14 +302,6 @@ class PsdLowRankSet(_BoundedRank):
         if rank_b <= self.n - self.r:
             return True
         return bool(wb.max(initial=0.0) <= t * scale)
-
-    def random_point(self, rng: np.random.Generator, stratum: int | None = None) -> Point:
-        k = self._pick_stratum(rng, stratum)
-        if k == 0:
-            return Point.zeros((self.n, self.n))
-        Q, _ = np.linalg.qr(rng.standard_normal((self.n, k)))
-        lam = rng.uniform(0.5, 1.5, size=k)
-        return Point((Q * lam) @ Q.T, (self.n, self.n))
 
     def sample_regular_normal(self, x: Point, v_rng: np.random.Generator,
                               tol: float | None = None) -> Point:

@@ -205,13 +205,68 @@ def test_bad_value_same_message_from_flag_and_file(key, text, tmp_path, capsys):
 @pytest.mark.parametrize("argv,message", [
     (["check", "--suite", "projected-translation", "--trials", "2", "--trials", "3"],
      "field 'trials': flag --trials given more than once"),
-    (SOLVE_ARGS + ["--max-it", "1", "--max-iters", "3"],
+    (SOLVE_ARGS + ["--max-iters", "1", "--max-iters=3"],
      "field 'max_iters': flag --max-iters given more than once"),
     (SOLVE_ARGS + ["--config", "a.cfg", "--config", "b.cfg"], "flag --config given more than once"),
 ])
 def test_a_flag_given_twice_is_an_error(argv, message, capsys):
     # Checked while the command line is read: no file is opened and no suite runs.
     assert run_cli(argv, capsys) == (cli.EXIT_USAGE, "", f"error: {message}\n")
+
+
+NEGATIVE_START = ["solve", "--set", "sparse:n=2,s=1", "--objective", "least-squares:target=1,0"]
+
+
+def test_a_value_that_starts_with_a_dash_reads_alike_in_every_spelling(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("x0 = -1,0\n")
+    spellings = {"separate": ["--x0", "-1,0"], "joined": ["--x0=-1,0"],
+                 "config": ["--config", str(cfg)]}
+    traces = {}
+    for name, flags in spellings.items():
+        out = tmp_path / f"{name}.csv"
+        assert run_cli(NEGATIVE_START + flags + ["--out", str(out)], capsys)[0] == cli.EXIT_OK
+        traces[name] = out.read_bytes()
+    assert traces["separate"] == traces["joined"] == traces["config"]
+    assert traces["separate"].splitlines()[1].endswith(b",-1,0")
+
+
+def test_a_cone_direction_that_starts_with_a_dash(capsys):
+    code, stdout, _ = run_cli(["cones", "--set", "sparse:n=2,s=1", "--x", "0,1", "--v", "-1,0"],
+                              capsys)
+    assert code == cli.EXIT_OK
+    assert "v: (-1, 0)" in stdout
+
+
+@pytest.mark.parametrize("flags,unrecognized", [
+    (["--x0", "0,1", "--max-it", "3"], "--max-it 3"),
+    (["--x", "0,1"], "--x 0,1"),
+    (["--x0", "0,1", "--max-iters", "3", "--he"], "--he"),
+])
+def test_a_prefix_names_no_flag(flags, unrecognized, capsys):
+    # As no prefix names a config key (max_it = 3 is an unknown key).
+    code, stdout, stderr = run_cli(NEGATIVE_START + flags, capsys)
+    assert (code, stdout) == (cli.EXIT_USAGE, "")
+    assert stderr.endswith(f"error: unrecognized arguments: {unrecognized}\n")
+
+
+@pytest.mark.parametrize("flags,flag", [
+    (["--x0", "--alpha-max", "1"], "--x0"),
+    (["--x0", "--alpha-max=1"], "--x0"),
+    (["--x0", "0,1", "--beta", "-h"], "--beta"),
+    (["--x0", "0,1", "--config"], "--config"),
+])
+def test_a_flag_is_never_a_value(flags, flag, capsys):
+    code, stdout, stderr = run_cli(NEGATIVE_START + flags, capsys)
+    assert (code, stdout) == (cli.EXIT_USAGE, "")
+    assert stderr.endswith(f"error: argument {flag}: expected one argument\n")
+
+
+def test_a_text_that_is_no_flag_of_the_command_is_a_value(capsys):
+    # --suite is a flag of check, not of solve; -- ends no option list here.
+    for text in ("--suite", "--"):
+        code, _, stderr = run_cli(NEGATIVE_START + ["--x0", "0,1", "--beta", text], capsys)
+        assert (code, stderr) == (cli.EXIT_USAGE, f"error: field 'beta': expected a number, got {text!r}\n")
 
 
 def test_initial_step_is_neither_a_flag_nor_a_config_key(tmp_path, capsys):

@@ -2,17 +2,20 @@
 
 Each example puts one text into one row of `cli._FIELDS`, under one of the
 commands the row belongs to, and must end in exactly one of two ways, the
-same from the flag `--name=<text>` and, for solve and compare, from the
-config-file line `name = <text>` (key written with '_' or '-'):
+same from the flag `--name=<text>`, from the flag `--name` followed by the
+token `<text>` and, for solve and compare, from the config-file line
+`name = <text>` (key written with '_' or '-'):
 - the text parses to a value whose printed form (through `cli._fmt` or `str`)
   is not empty and parses to the same value;
 - the parse stops with a SpecError whose one-line message names the field,
   and `cli.main` prints it as its only `error:` line and exits 1.
 
-Any other exception is a traceback a user would see. Every other field is
-given a valid value, so the first error `main` meets is the fuzzed field's.
-Only the error path runs a command, and it stops before a solver or a suite
-runs.
+The one exception is a text that is itself a flag of the command (`--c`,
+`-h`): as the token after `--name` it is no value, so that spelling is
+argparse's usage error "expected one argument". Any other exception is a
+traceback a user would see. Every other field is given a valid value, so the
+first error `main` meets is the fuzzed field's. Only the error path runs a
+command, and it stops before a solver or a suite runs.
 """
 
 import contextlib
@@ -56,7 +59,7 @@ FORMS = {
 }
 ALL_FORMS = sorted({form for forms in FORMS.values() for form in forms})
 WORDS = st.sampled_from(["", " ", "\t", "\u00a0", "#", ",", ":", "=", "--", "é", "t.csv",
-                         "a b.csv"])
+                         "a b.csv", "-1,0", "-h", "--c", "--x=1"])
 TOKEN = st.one_of(
     NUMBER, WORDS, st.sampled_from(ALL_FORMS),
     # A config value is one line of a UTF-8 file: no line break, no surrogate.
@@ -116,7 +119,15 @@ def _outcome(command: str, name: str, argv: list[str]):
             value = cli.parse_fields(command, merged)[name]
     except cli.SpecError as err:
         return "error", str(err)
+    except SystemExit as exit_:
+        return "usage", exit_.code
     return "value", _printed(value)
+
+
+def _is_flag(command: str, text: str) -> bool:
+    """Whether text, up to its first '=', is a flag of the command."""
+    names = cli._command_fields(command) + ["config"] * (command in cli._CONFIG_COMMANDS)
+    return text.partition("=")[0] in {"-h", "--help", *(f"--{n.replace('_', '-')}" for n in names)}
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +143,8 @@ def test_every_field_parses_and_prints_back_or_names_itself(name, data, dashed, 
     command = data.draw(st.sampled_from(cli._FIELDS[name].commands), label="command")
     flag = name.replace("_", "-")
     from_flag = _outcome(command, name, _argv(command, name, f"--{flag}={text}"))
+    separate = _outcome(command, name, _argv(command, name, f"--{flag}", text))
+    assert separate == (("usage", 2) if _is_flag(command, text) else from_flag)
     if command in cli._CONFIG_COMMANDS:
         config_path.write_text(f"{flag if dashed else name} = {text}\n", encoding="utf-8")
         assert _outcome(command, name,

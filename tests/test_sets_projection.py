@@ -130,6 +130,77 @@ def test_psd_projection_matches_dense_eig(rng):
         assert (w > 1e-9).sum() <= 2
 
 
+# The oracle below checks y = P(z) by the conditions that characterise it and
+# never decomposes z, so it shares no code with `project`: it decomposes y
+# and the residual only. Its tolerance is relative to ||z||.
+ORACLE_SCALES = [1e-6, 1e-3, 1.0, 1e3, 1e6]
+ORACLE_RTOL = 1e-9
+
+
+def _factored(rng, m, n, spectrum):
+    """U diag(spectrum) V^T with orthonormal U (m x n) and V (n x n), n <= m."""
+    U, _ = np.linalg.qr(rng.standard_normal((m, n)))
+    V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (U * spectrum) @ V.T
+
+
+def _lowrank_cases(rng):
+    """(name, z) for LowRankSet(6, 4, 2): generic, tied at sigma_2 = sigma_3, rank 1."""
+    yield "gaussian", rng.standard_normal((6, 4))
+    yield "tie", _factored(rng, 6, 4, np.array([2.0, 1.25, 1.25, 0.5]))
+    yield "rank-1", np.outer(rng.standard_normal(6), rng.standard_normal(4))
+
+
+def _psd_cases(rng):
+    """(name, z) for PsdLowRankSet(5, 2): generic, tied at lambda_2 = lambda_3, one and
+    no positive eigenvalue."""
+    Q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+    skew = np.triu(np.ones((5, 5)), 1)
+    skew -= skew.T
+    yield "gaussian", rng.standard_normal((5, 5))
+    yield "tie", (Q * np.array([2.0, 1.25, 1.25, -0.5, 0.0])) @ Q.T + skew
+    yield "one-positive", (Q * np.array([1.5, -0.2, -1.0, -0.7, 0.0])) @ Q.T
+    yield "negative", -(Q * np.array([1.5, 0.2, 1.0, 0.7, 0.3])) @ Q.T
+
+
+def _scaled(cases):
+    """Each case at each scale, seeded."""
+    return [pytest.param(scale * z, id=f"{name}-{scale:g}")
+            for name, z in cases(np.random.default_rng(7)) for scale in ORACLE_SCALES]
+
+
+@pytest.mark.parametrize("z", _scaled(_lowrank_cases))
+def test_lowrank_projection_meets_eckart_young(z):
+    # y = P(z) iff rank y <= r, z - y is orthogonal to the row and column
+    # spaces of y, and ||z - y||_2 <= sigma_min+(y), or is 0 when rank y < r.
+    r = 2
+    y = LowRankSet(6, 4, r).project(Point.matrix(z)).as_array()
+    R, t = z - y, ORACLE_RTOL * np.linalg.norm(z)
+    sigma = np.linalg.svd(y, compute_uv=False)
+    k = int(np.count_nonzero(sigma > t))
+    assert k <= r
+    assert np.linalg.norm(y.T @ R) <= t * np.linalg.norm(z)
+    assert np.linalg.norm(R @ y.T) <= t * np.linalg.norm(z)
+    assert np.linalg.norm(R, 2) <= (sigma[k - 1] if k == r else 0.0) + t
+
+
+@pytest.mark.parametrize("z", _scaled(_psd_cases))
+def test_psd_projection_meets_its_optimality_conditions(z):
+    # With S = sym z: y = P(z) iff y is symmetric PSD of rank <= r, (S - y) y = 0,
+    # and lambda_max(S - y) <= lambda_min+(y), or <= 0 when rank y < r.
+    r = 2
+    y = PsdLowRankSet(5, r).project(Point.matrix(z)).as_array()
+    R, t = 0.5 * (z + z.T) - y, ORACLE_RTOL * np.linalg.norm(z)
+    assert np.linalg.norm(y - y.T) <= t
+    lam = np.linalg.eigvalsh(y)
+    assert lam[0] >= -t
+    positive = lam[lam > t]
+    assert positive.size <= r
+    assert np.linalg.norm(R @ y) <= t * np.linalg.norm(z)
+    bound = positive[0] if positive.size == r else 0.0
+    assert np.linalg.eigvalsh(R)[-1] <= bound + t
+
+
 def test_curve_projection_against_grid_oracle(rng):
     set_ = CurveSet()
     for _ in range(20):
