@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import csv
 import dataclasses
@@ -79,19 +78,18 @@ def read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def merge_spec(args: argparse.Namespace) -> dict[str, str]:
-    """The config file's values overridden by the flags given, all stripped; a
-    file key that is not one of the command's fields is rejected."""
-    names = _command_fields(args.command)
-    merged = read_config_file(args.config) if args.config else {}
-    unknown = sorted(set(merged) - set(names))
+def merge_spec(command: str, texts: dict[str, str]) -> dict[str, str]:
+    """The config file that texts['config'] names, if any, overridden by the other flag texts,
+    all stripped; a file key that is not one of the command's fields is rejected."""
+    path = texts.get("config")
+    if path == "":
+        raise SpecError("flag --config: expected a config file path, got ''")
+    merged = {} if path is None else read_config_file(path)
+    unknown = sorted(set(merged) - set(_command_fields(command)))
     if unknown:
-        raise SpecError(f"{args.config}: unknown key(s) {', '.join(map(repr, unknown))} "
-                        f"(accepted: the {args.command} flag names)")
-    for name in names:
-        value = getattr(args, name)
-        if value is not None:
-            merged[name] = value.strip()
+        raise SpecError(f"{path}: unknown key(s) {', '.join(map(repr, unknown))} "
+                        f"(accepted: the {command} flag names)")
+    merged.update((name, text.strip()) for name, text in texts.items() if name != "config")
     return merged
 
 
@@ -370,8 +368,8 @@ def _summary_line(name: str, set_: FeasibleSet, obj: Objective, trace: Trace,
             f"classification={report.classification} d-regular={_fmt(report.d_regular)}")
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
-    set_, obj, x0, cfg, rest = _build_problem("solve", merge_spec(args))
+def cmd_solve(texts: dict[str, str]) -> int:
+    set_, obj, x0, cfg, rest = _build_problem("solve", merge_spec("solve", texts))
     algorithm = rest["algorithm"] or "pgd"
     if algorithm == "pgd":
         trace = pgd(set_, obj, x0, cfg, stationarity=rest["stationarity"] or "regular")
@@ -394,8 +392,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_SOLVER if trace.termination is Termination.BACKTRACK_FAILURE else EXIT_OK
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    set_, obj, x0, cfg, rest = _build_problem("compare", merge_spec(args))
+def cmd_compare(texts: dict[str, str]) -> int:
+    set_, obj, x0, cfg, rest = _build_problem("compare", merge_spec("compare", texts))
     traces = {"pgd": pgd(set_, obj, x0, cfg, stationarity=rest["stationarity"] or "regular"),
               "p2gd": p2gd(set_, obj, x0, cfg)}
     classify_tol = 10.0 * cfg.stat_tol
@@ -420,8 +418,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_SOLVER if failed else EXIT_OK
 
 
-def cmd_cones(args: argparse.Namespace) -> int:
-    fields = parse_fields("cones", merge_spec(args))
+def cmd_cones(texts: dict[str, str]) -> int:
+    fields = parse_fields("cones", merge_spec("cones", texts))
     set_, x, v = fields["set"], fields["x"], fields["v"]
     if not set_.contains(x):
         raise InfeasiblePointError(f"x is not on {set_!r}")
@@ -553,8 +551,8 @@ SUITES = {
 }
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    fields = parse_fields("check", merge_spec(args))
+def cmd_check(texts: dict[str, str]) -> int:
+    fields = parse_fields("check", merge_spec("check", texts))
     suite, seed = fields["suite"], fields["seed"] or 0
     fn, default_trials = SUITES[suite]
     passed, detail = fn(seed, fields["trials"] or default_trials)
@@ -568,48 +566,49 @@ def cmd_check(args: argparse.Namespace) -> int:
 # -- entry point --------------------------------------------------------------
 
 
-class _CommandParser(argparse.ArgumentParser):
-    """Reads each flag but --help by its full name, as --name=text or as --name and the next
-    token unless that is a flag, and keeps its text as typed; a flag given twice is an error.
-    argparse reads the rest: --help, an unknown flag and a flag with no text."""
-
-    def parse_known_args(self, args=None, namespace=None):
-        flags, tokens, texts, rest = self._option_string_actions, list(args), {}, []
-        while tokens:
-            token = tokens.pop(0)
-            flag, eq, text = token.partition("=")
-            dest = getattr(flags.get(flag), "dest", "help")  # no flag: left to argparse
-            if dest == "help" or not (eq or tokens and tokens[0].partition("=")[0] not in flags):
-                rest.append(token)
-                continue
-            if dest in texts:
-                field = "" if dest == "config" else f"field {dest!r}: "
-                raise SpecError(f"{field}flag {flag} given more than once")
-            texts[dest] = text if eq else tokens.pop(0)
-        namespace, extras = super().parse_known_args(rest, namespace)
-        vars(namespace).update(texts)
-        return namespace, extras
+def build_parser() -> dict[str, dict[str, str]]:
+    """Per command of the field table, each of its flags to the field it sets, 'config' or 'help'."""
+    commands = dict.fromkeys(command for row in _FIELDS.values() for command in row.commands)
+    return {command: {"--" + name.replace("_", "-"): name for name in
+                      ["config"] * (command in _CONFIG_COMMANDS) + _command_fields(command)}
+                     | {"-h": "help", "--help": "help"} for command in commands}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ncpgd", allow_abbrev=False,
-        description="Projected gradient descent on nonconvex closed sets, "
-                    "with cone queries and stationarity certification.")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+def read_argv(argv: list[str]) -> tuple[str | None, dict[str, str] | None]:
+    """(command, {field or 'config': text as typed}), or (command, None) for help, command None
+    at the root. Each flag is read by its full name, as --name=text or as --name and the next
+    token unless that is a flag of the command, and only once."""
+    parser = build_parser()
+    command, *tokens = argv or [""]
+    if command in ("-h", "--help"):
+        return None, None
+    if command not in parser:
+        raise SpecError(f"expected a command, one of {', '.join(parser)}; got {command!r}")
+    flags, texts = parser[command], {}
+    while tokens:
+        token = tokens.pop(0)
+        flag, eq, text = token.partition("=")
+        name = flags.get(flag)
+        if name == "help":
+            return command, None
+        if name is None:
+            raise SpecError(f"{flag!r} is not a flag of {command}; see ncpgd {command} --help")
+        field = "" if name == "config" else f"field {name!r}: "
+        if not (eq or tokens and tokens[0].partition("=")[0] not in flags):
+            raise SpecError(f"{field}flag {flag} given no text")
+        if name in texts:
+            raise SpecError(f"{field}flag {flag} given more than once")
+        texts[name] = text if eq else tokens.pop(0)
+    return command, texts
 
-    for command, fn, about in (("solve", cmd_solve, "run one algorithm and emit a CSV trace"),
-                               ("compare", cmd_compare, "run pgd and p2gd side by side"),
-                               ("cones", cmd_cones, "query the cones of a set at a point"),
-                               ("check", cmd_check, "run a randomized property suite")):
-        p = sub.add_parser(command, help=about, allow_abbrev=False)
-        if command in _CONFIG_COMMANDS:
-            p.add_argument("--config", help="flat key=value config file; flags override it")
-        for name in _command_fields(command):
-            p.add_argument("--" + name.replace("_", "-"), dest=name, help=_FIELDS[name].expected)
-        p.set_defaults(fn=fn, config=None)
 
-    return parser
+def _help(command: str | None) -> str:
+    """At the root, the commands; else the command's flags, each with what its text must be."""
+    if command is None:
+        return f"usage: ncpgd {{{','.join(build_parser())}}} ...; ncpgd <command> --help lists its flags"
+    return "\n".join([f"usage: ncpgd {command} [--flag text | --flag=text ...]"] + [
+        f"  {flag:<16}  {_FIELDS[name].expected if name in _FIELDS else 'a key=value file that flags override'}"
+        for flag, name in build_parser()[command].items() if name != "help"])
 
 
 def _configure_logging():
@@ -625,12 +624,13 @@ def _configure_logging():
 
 def main(argv=None) -> int:
     _configure_logging()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.fn(args)
-    except SystemExit as err:
-        return EXIT_USAGE if err.code not in (0, None) else EXIT_OK
+        command, texts = read_argv(sys.argv[1:] if argv is None else argv)
+        if texts is None:
+            print(_help(command))
+            return EXIT_OK
+        # Looked up when called, so that a wrapper set on the module attribute sees the call.
+        return globals()[f"cmd_{command}"](texts)
     except InfeasiblePointError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INFEASIBLE

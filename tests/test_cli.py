@@ -130,7 +130,7 @@ def test_config_file_with_flag_overrides(tmp_path, capsys):
 
 
 def _merged(argv):
-    return cli.merge_spec(cli.build_parser().parse_args(argv))
+    return cli.merge_spec(*cli.read_argv(argv))
 
 
 def test_solver_defaults_come_from_solver_config():
@@ -163,7 +163,7 @@ def test_every_field_is_a_flag_and_a_config_key(name, tmp_path):
             if command in cli._CONFIG_COMMANDS:
                 assert _merged([command, "--config", str(cfg)]) == from_flag
             else:
-                with pytest.raises(SystemExit):
+                with pytest.raises(cli.SpecError, match=f"^'--config' is not a flag of {command};"):
                     _merged([command, "--config", str(cfg)])
     if not set(cli._CONFIG_COMMANDS) & set(cli._FIELDS[name].commands):
         cfg.write_text(f"{name} = {FIELD_TEXT[name]}\n")
@@ -244,10 +244,10 @@ def test_a_cone_direction_that_starts_with_a_dash(capsys):
     (["--x0", "0,1", "--max-iters", "3", "--he"], "--he"),
 ])
 def test_a_prefix_names_no_flag(flags, unrecognized, capsys):
-    # As no prefix names a config key (max_it = 3 is an unknown key).
-    code, stdout, stderr = run_cli(NEGATIVE_START + flags, capsys)
-    assert (code, stdout) == (cli.EXIT_USAGE, "")
-    assert stderr.endswith(f"error: unrecognized arguments: {unrecognized}\n")
+    # As no prefix names a config key (max_it = 3 is an unknown key). Reading stops at the flag.
+    flag = unrecognized.split()[0]
+    assert run_cli(NEGATIVE_START + flags, capsys) == (
+        cli.EXIT_USAGE, "", f"error: {flag!r} is not a flag of solve; see ncpgd solve --help\n")
 
 
 @pytest.mark.parametrize("flags,flag", [
@@ -257,9 +257,26 @@ def test_a_prefix_names_no_flag(flags, unrecognized, capsys):
     (["--x0", "0,1", "--config"], "--config"),
 ])
 def test_a_flag_is_never_a_value(flags, flag, capsys):
-    code, stdout, stderr = run_cli(NEGATIVE_START + flags, capsys)
-    assert (code, stdout) == (cli.EXIT_USAGE, "")
-    assert stderr.endswith(f"error: argument {flag}: expected one argument\n")
+    field = "" if flag == "--config" else f"field {flag[2:]!r}: "
+    assert run_cli(NEGATIVE_START + flags, capsys) == (
+        cli.EXIT_USAGE, "", f"error: {field}flag {flag} given no text\n")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"]] + [
+    [command, *flags] for command in ("solve", "compare", "cones", "check")
+    for flags in (["--help"], ["-h"], ["-h", "--max-it", "3"])])
+def test_help_lists_the_flags_of_the_command(argv, capsys):
+    # Help stops the reading: a later token is not read.
+    code, stdout, stderr = run_cli(argv, capsys)
+    assert (code, stderr) == (cli.EXIT_OK, "")
+    command = argv[0]
+    if command.startswith("-"):
+        assert stdout.startswith("usage: ncpgd {solve,compare,cones,check} ")
+        return
+    listed = [line.split()[0] for line in stdout.splitlines() if line.startswith("  ")]
+    rows = [name for name, row in cli._FIELDS.items() if command in row.commands]
+    assert listed == ["--config"] * (command in cli._CONFIG_COMMANDS) + [
+        "--" + name.replace("_", "-") for name in rows]
 
 
 def test_a_text_that_is_no_flag_of_the_command_is_a_value(capsys):

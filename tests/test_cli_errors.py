@@ -17,6 +17,17 @@ SRC = Path(__file__).parent.parent / "src"
 SPARSE = ["--set", "sparse:n=2,s=1", "--objective", "least-squares:target=1,0"]
 PSD = ["--set", "psd:n=2,r=1", "--objective", "least-squares:target=1,0,0,0"]
 
+# The command line's own errors: one `error:` line each, with exit code 1.
+READER_CASES = [
+    ["solve"] + SPARSE + ["--x0", "0,1", "--max-it", "3"],
+    ["solve"] + SPARSE + ["--x0", "--alpha-max", "1"],
+    [],
+    ["solv"],
+    ["solve"] + SPARSE + ["--x0", "0", "1"],
+    ["solve"] + SPARSE + ["--x0", "0,1", "--config="],
+    ["cones", "--set", "sparse:n=2,s=1", "--x", "0,1", "--v", "1,0", "--config", "x.cfg"],
+]
+
 CASES = [
     ["solve"] + SPARSE + ["--x0", "1,1"],
     ["solve"] + SPARSE + ["--x0", "1,1", "--algorithm", "p2gd"],
@@ -57,6 +68,7 @@ CASES = [
     ["solve"] + SPARSE + ["--x0", "0,1", "--max-iters", "1", "--max-iters", "3"],
     ["cones", "--set", "sparse:n=2,s=1", "--x", "0,1", "--v", "1,0", "--x", "1,0"],
     ["check", "--suite", "projected-translation", "--seed", "abc"],
+    *READER_CASES,
 ]
 
 CONFIG_FILES = {
@@ -90,3 +102,6 @@ def test_cli_error_paths_match_golden_bytes(tmp_path):
     text = cli_errors_text(tmp_path)
     assert text == GOLDEN.read_text(encoding="utf-8")
     assert text.count(X0_ERROR) == 3
+    for block in text.split("$ ncpgd ")[-len(READER_CASES):]:
+        assert block.partition("\n")[2].startswith("exit=1\n[stdout]\n[stderr]\nerror: ")
+        assert block.count("\n") == 5, block

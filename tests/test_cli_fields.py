@@ -10,11 +10,11 @@ token `<text>` and, for solve and compare, from the config-file line
 - the parse stops with a SpecError whose one-line message names the field,
   and `cli.main` prints it as its only `error:` line and exits 1.
 
-The one exception is a text that is itself a flag of the command (`--c`,
-`-h`): as the token after `--name` it is no value, so that spelling is
-argparse's usage error "expected one argument". Any other exception is a
-traceback a user would see. Every other field is given a valid value, so the
-first error `main` meets is the fuzzed field's. Only the error path runs a
+A text that is itself a flag of the command (`--c`, `-h`) is no value as the
+token after `--name`: that spelling ends as the one `error:` line `field
+'<name>': flag --<name> given no text`, with exit code 1. Any other exception
+is a traceback a user would see. Every other field is given a valid value, so
+the first error `main` meets is the fuzzed field's. Only the error path runs a
 command, and it stops before a solver or a suite runs.
 """
 
@@ -108,7 +108,7 @@ def _argv(command: str, name: str, *extra: str) -> list[str]:
 def _outcome(command: str, name: str, argv: list[str]):
     """('value', printed value) or ('error', message) of the field `name` in argv."""
     try:
-        merged = cli.merge_spec(cli.build_parser().parse_args(argv))
+        merged = cli.merge_spec(*cli.read_argv(argv))
         if name == "set" and merged.get("set"):
             # The set is parsed first, alone; the base points need not fit its shape.
             value = cli._field_value(merged, "set")
@@ -119,9 +119,15 @@ def _outcome(command: str, name: str, argv: list[str]):
             value = cli.parse_fields(command, merged)[name]
     except cli.SpecError as err:
         return "error", str(err)
-    except SystemExit as exit_:
-        return "usage", exit_.code
     return "value", _printed(value)
+
+
+def _main(argv: list[str]) -> tuple[int, str, str]:
+    """cli.main's exit code, stdout and stderr on argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def _is_flag(command: str, text: str) -> bool:
@@ -143,8 +149,11 @@ def test_every_field_parses_and_prints_back_or_names_itself(name, data, dashed, 
     command = data.draw(st.sampled_from(cli._FIELDS[name].commands), label="command")
     flag = name.replace("_", "-")
     from_flag = _outcome(command, name, _argv(command, name, f"--{flag}={text}"))
-    separate = _outcome(command, name, _argv(command, name, f"--{flag}", text))
-    assert separate == (("usage", 2) if _is_flag(command, text) else from_flag)
+    separate = _argv(command, name, f"--{flag}", text)
+    if _is_flag(command, text):
+        assert _main(separate) == (cli.EXIT_USAGE, "", f"error: field {name!r}: flag --{flag} given no text\n")
+    else:
+        assert _outcome(command, name, separate) == from_flag
     if command in cli._CONFIG_COMMANDS:
         config_path.write_text(f"{flag if dashed else name} = {text}\n", encoding="utf-8")
         assert _outcome(command, name,
@@ -157,7 +166,4 @@ def test_every_field_parses_and_prints_back_or_names_itself(name, data, dashed, 
                         _argv(command, name, f"--{flag}={detail}")) == from_flag
         return
     assert "\n" not in detail and re.search(rf"\b{name}\b", detail), detail
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(_argv(command, name, f"--{flag}={text}"))
-    assert (code, out.getvalue(), err.getvalue()) == (cli.EXIT_USAGE, "", f"error: {detail}\n")
+    assert _main(_argv(command, name, f"--{flag}={text}")) == (cli.EXIT_USAGE, "", f"error: {detail}\n")

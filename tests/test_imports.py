@@ -8,6 +8,9 @@ below, so a new one shows as a diff.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).parent.parent / "src"
@@ -79,3 +82,12 @@ def test_the_scan_catches_an_orphaned_import():
               "def f(x):\n"
               "    return os.path.join(norm(x))\n")
     assert unused_imports(source) == (["math", "_helper"], ["traced"])
+
+
+def test_the_cli_loads_no_argparse_or_gettext():
+    # The CLI reads its command line with its own field table; a second reader
+    # would cost every ncpgd process the import of both.
+    code = "import sys, ncpgd.cli; print(sorted({'argparse', 'gettext'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert (proc.stdout, proc.stderr) == ("[]\n", "")
