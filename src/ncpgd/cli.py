@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import csv
 import dataclasses
@@ -148,12 +149,12 @@ def _suite(text: str) -> str:
     return text
 
 
-def _at_least(low: int, flag: str, bound: str):
-    """A parser of an integer that is at least low, else '--flag must be bound'."""
+def _at_least(low: int, name: str, bound: str):
+    """A parser of an integer that is at least low, else "field 'name': must be bound"."""
     def parse(text: str) -> int:
         number = int(text)
         if number < low:
-            raise SpecError(f"--{flag} must be {bound}, got {number}")
+            raise SpecError(f"field {name!r}: must be {bound}, got {number}")
         return number
     return parse
 
@@ -243,12 +244,15 @@ def parse_fields(command: str, merged: dict[str, str]) -> dict[str, object]:
 
 def _solver_config(values: dict[str, object]) -> SolverConfig:
     """SolverConfig from parsed field values; a field that is None takes its default."""
-    given = {f.name: values[f.name] for f in dataclasses.fields(SolverConfig)
-             if values.get(f.name) is not None}
+    names = [f.name for f in dataclasses.fields(SolverConfig)]
+    given = {name: values[name] for name in names if values.get(name) is not None}
     try:
         return SolverConfig(**given)
     except (ValueError, TypeError) as err:
-        raise SpecError(f"bad solver configuration: {err}") from None
+        # Named after the first field the message mentions, less a leading mention.
+        message = str(err)
+        name = next(word for word in message.split() if word in names)
+        raise SpecError(f"field {name!r}: {message.removeprefix(name + ' ')}") from None
 
 
 def build_solver_config(merged: dict[str, str]) -> SolverConfig:
@@ -353,6 +357,10 @@ def _build_problem(command: str, merged: dict[str, str]):
     if values.get("algorithm") == "p2gd" and values["stationarity"]:
         raise SpecError("field 'stationarity' applies to algorithm pgd only "
                         "(p2gd stops on the norm of its tangent direction)")
+    plot = values["emit_plot_data"]
+    if plot and values["out"] and os.path.realpath(plot) == os.path.realpath(values["out"]):
+        raise SpecError(f"field 'emit_plot_data': names the file that field 'out' writes, "
+                        f"got {plot!r}")
     return values["set"], values["objective"], values["x0"], cfg, values
 
 
@@ -647,11 +655,23 @@ def run(argv=None) -> int:
 
     Freezes the objects that exist after the imports (numpy's and ncpgd's),
     which live until exit anyway, so that the cyclic collector skips them
-    during the command and at shutdown; then runs ``main``. In-process
-    callers of ``main`` keep their collector state.
+    during the command; then runs ``main`` and ends the process with its exit
+    code. The end runs (and clears) the ``atexit`` callbacks, flushes stdout
+    and stderr, and calls ``os._exit``, skipping module teardown and the final
+    collection, which no output depends on. If a flush fails, ``run`` returns
+    the code instead, so that the interpreter reports the failure as usual.
+    In-process callers of ``main`` keep their collector state and their process.
     """
     gc.freeze()
-    return main(argv)
+    code = main(argv)
+    atexit._run_exitfuncs()
+    try:
+        # A stream is None when its file descriptor was closed at start.
+        for stream in filter(None, (sys.stdout, sys.stderr)):
+            stream.flush()
+    except OSError:
+        return code
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import gc
 import importlib
+import logging
 import math
 import os
 import subprocess
@@ -490,6 +491,21 @@ def test_solve_emit_plot_data(tmp_path, capsys):
     assert lines[1].startswith("pgd,0,")
 
 
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_the_trace_and_the_plot_data_cannot_share_a_file(command, tmp_path, capsys, monkeypatch):
+    # Two spellings of one path; the command stops before its solvers run.
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "pgd", None)
+    monkeypatch.setattr(cli, "p2gd", None)
+    argv = [command] + SOLVE_ARGS[1:] + ["--out", "sub/../same.csv",
+                                         "--emit-plot-data", str(tmp_path / "same.csv")]
+    assert run_cli(argv, capsys) == (
+        cli.EXIT_USAGE, "", f"error: field 'emit_plot_data': names the file that field 'out' "
+                            f"writes, got {str(tmp_path / 'same.csv')!r}\n")
+    assert sorted(os.listdir(tmp_path)) == ["sub"]
+
+
 def test_compare_plot_data_costs_no_gradient(tmp_path, capsys, monkeypatch):
     # The README compare run: both CSV writers share one set of line-search targets.
     args = ["compare", "--set", "sparse:n=2,s=1", "--objective", "least-squares:target=1,0",
@@ -628,7 +644,7 @@ def _main_block_callees(module) -> list:
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
 
 
-def test_installed_entry_point_smoke(tmp_path, capsys):
+def test_installed_entry_point_smoke(tmp_path):
     env = dict(os.environ, NCPGD_LOG="quiet")
     out = tmp_path / "trace.csv"
     proc = subprocess.run(
@@ -643,25 +659,158 @@ def test_installed_entry_point_smoke(tmp_path, capsys):
     assert proc.returncode == 0
     assert "proximal-member (closed form): true" in proc.stdout
 
-    for argv in (SOLVE_ARGS + ["--out", str(out)],
-                 ["solve", "--set", "sparse:n=2,s=1", "--objective", "least-squares:target=1,0",
-                  "--x0", "1,1"]):
-        code = ("import gc\n"
-                "from ncpgd import cli\n"
-                f"print(cli.run({argv!r}), gc.get_freeze_count())\n")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env)
-        assert proc.returncode == 0, proc.stderr
-        returned, frozen = proc.stdout.split()[-2:]
-        assert int(returned) == run_cli(argv, capsys)[0]
-        assert int(frozen) > 0
-
     tomllib = pytest.importorskip("tomllib")
     root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
     with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
         module, _, name = tomllib.load(fh)["project"]["scripts"]["ncpgd"].partition(":")
     script = getattr(importlib.import_module(module), name)
     assert _main_block_callees(cli) == [script]
+
+
+# The sitecustomize of every entry-point child: it notes each run of an atexit callback
+# registered before the command, and the os._exit call with whether gc has frozen objects,
+# in report.txt beside it.
+_CHILD_SITE = """\
+import atexit, gc, os
+
+def _note(line):
+    with open(os.path.join(os.path.dirname(__file__), "report.txt"), "a") as fh:
+        fh.write(line + "\\n")
+
+atexit.register(_note, "atexit")
+_os_exit = os._exit
+
+def _exit(code):
+    _note(f"os._exit({code}) frozen={gc.get_freeze_count() > 0}")
+    _os_exit(code)
+
+os._exit = _exit
+"""
+
+# A process entry point, as the command that runs it on the arguments that follow.
+ENTRY_POINTS = {
+    # What the installed `ncpgd` script does.
+    "run": [sys.executable, "-c", "import sys; from ncpgd.cli import run; sys.exit(run())"],
+    "python-m": [sys.executable, "-m", "ncpgd.cli"],
+}
+# The interpreter's own exit after main returns: the end of a process without cli.run.
+MAIN_EXIT = [sys.executable, "-c", "import sys; from ncpgd.cli import main; sys.exit(main())"]
+
+README_COMPARE = ["compare", "--set", "sparse:n=2,s=1", "--objective", "least-squares:target=1,0",
+                  "--x0", "0,1", "--alpha-min", "0.45", "--alpha-max", "0.45", "--c", "0.05"]
+BACKTRACK_FAILURE = ["solve", "--set", "sparse:n=2,s=1", "--objective", "quartic",
+                     "--x0", "0,10", "--alpha-min", "1", "--alpha-max", "1",
+                     "--c", "0.9", "--max-backtracks", "1"]
+# About 1000 rows of about 120 bytes on stdout, more than a pipe holds.
+LARGE_CSV = ["solve", "--set", "sparse:n=2,s=1", "--objective", "least-squares:target=1,0",
+             "--x0", "0,1", "--alpha-min", "1e-4", "--alpha-max", "1e-4", "--max-iters", "1000"]
+
+
+def _workdir(tmp_path, name):
+    workdir = tmp_path / name
+    (workdir / "site").mkdir(parents=True)
+    (workdir / "site" / "sitecustomize.py").write_text(_CHILD_SITE)
+    return workdir
+
+
+def _outputs(workdir) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in workdir.iterdir() if path.is_file()}
+
+
+def _child(command, argv, workdir, stdout=subprocess.PIPE):
+    """command run on argv in a fresh interpreter in workdir, with _CHILD_SITE, block-buffered
+    stdout and the default log level: (exit code, stdout, stderr, output files, report lines)."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(workdir / "site"), src]))
+    for name in ("PYTHONUNBUFFERED", "NCPGD_LOG"):
+        env.pop(name, None)
+    proc = subprocess.run(command + argv, cwd=workdir, env=env, stdout=stdout,
+                          stderr=subprocess.PIPE)
+    report = workdir / "site" / "report.txt"
+    lines = report.read_text().splitlines() if report.exists() else []
+    return proc.returncode, proc.stdout, proc.stderr, _outputs(workdir), lines
+
+
+def _main_in_process(argv, workdir, capsys, monkeypatch):
+    """(exit code, stdout, stderr, output files) of cli.main in this process, run in workdir.
+    The root logger has no handler during the call, so that main's own logging
+    configuration writes its lines to the captured stderr, as in a process."""
+    def no_exit(code):
+        raise AssertionError(f"cli.main ended the process with os._exit({code})")
+
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    monkeypatch.delenv("NCPGD_LOG", raising=False)
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "_exit", no_exit)
+        patch.setattr(logging.root, "handlers", [])
+        code, out, err = run_cli(argv, capsys)
+    return code, out.encode(), err.encode(), _outputs(workdir)
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("argv, code", [
+    (SOLVE_ARGS, cli.EXIT_OK),
+    (SOLVE_ARGS + ["--out", "t.csv", "--emit-plot-data", "p.csv"], cli.EXIT_OK),
+    (README_COMPARE, cli.EXIT_OK),
+    (README_COMPARE + ["--out", "c.csv", "--emit-plot-data", "p.csv"], cli.EXIT_OK),
+    (["cones", "--set", "curve", "--x", "0,0", "--v", "1,0"], cli.EXIT_OK),
+    (["check", "--suite", "projected-translation", "--trials", "12"], cli.EXIT_OK),
+    (SOLVE_ARGS + ["--max-it", "3"], cli.EXIT_USAGE),
+    (["solve", "--set", "sparse:n=2,s=1", "--objective", "least-squares:target=1,0",
+      "--x0", "1,1", "--out", "t.csv"], cli.EXIT_INFEASIBLE),
+    (BACKTRACK_FAILURE, cli.EXIT_SOLVER),
+    (BACKTRACK_FAILURE + ["--out", "t.csv"], cli.EXIT_SOLVER),
+    (LARGE_CSV, cli.EXIT_OK),
+], ids=["solve", "solve-files", "compare", "compare-files", "cones", "check",
+        "usage", "infeasible", "backtrack", "backtrack-file", "large-csv"])
+def test_an_entry_point_ends_as_main_returns(entry, argv, code, tmp_path, capsys, monkeypatch):
+    # The exit code, stdout, stderr and output files of main, after the atexit
+    # callback the child registered (once), a flush, and os._exit with gc frozen.
+    expected = _main_in_process(argv, tmp_path / "main", capsys, monkeypatch)
+    assert expected[0] == code
+    assert argv != LARGE_CSV or len(expected[1]) > 64 * 1024
+    *seen, report = _child(ENTRY_POINTS[entry], argv, _workdir(tmp_path, entry))
+    assert tuple(seen) == expected
+    assert report == ["atexit", f"os._exit({code}) frozen=True"]
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("argv", [["cones", "--set", "curve", "--x", "0,0", "--v", "1,0"],
+                                  LARGE_CSV], ids=["short", "large"])
+def test_a_closed_stdout_reader_sees_the_interpreters_exit(entry, argv, tmp_path):
+    # The reader of stdout is gone before the child starts. A short output
+    # fails at the flush in run, which returns, so that the interpreter reports
+    # the broken pipe as it does after main returns; a large one fails in main.
+    # Either way the atexit callback runs once.
+    def closed_reader_child(command, workdir):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            return _child(command, argv, workdir, stdout=write)
+        finally:
+            os.close(write)
+
+    *expected, report = closed_reader_child(MAIN_EXIT, _workdir(tmp_path, "main"))
+    assert expected[0] == (120 if argv[0] == "cones" else cli.EXIT_USAGE)
+    assert expected[2].endswith(b" Broken pipe\n")
+    assert report == ["atexit"]
+    *seen, report = closed_reader_child(ENTRY_POINTS[entry], _workdir(tmp_path, entry))
+    assert seen == expected
+    assert report.count("atexit") == 1
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_a_process_started_without_stdout_ends_as_main_returns(entry, tmp_path):
+    # With file descriptor 1 closed, sys.stdout is None and print drops its text.
+    no_stdout = ["sh", "-c", 'exec "$@" >&-', "sh"]
+    argv = ["cones", "--set", "curve", "--x", "0,0", "--v", "1,0"]
+    *expected, report = _child(no_stdout + MAIN_EXIT, argv, _workdir(tmp_path, "main"))
+    assert expected[:3] == [cli.EXIT_OK, b"", b""]
+    assert report == ["atexit"]
+    *seen, report = _child(no_stdout + ENTRY_POINTS[entry], argv, _workdir(tmp_path, entry))
+    assert seen == expected
+    assert report == ["atexit", "os._exit(0) frozen=True"]
 
 
 def test_python_m_logs_under_the_package_logger_name(tmp_path):

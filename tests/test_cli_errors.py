@@ -69,6 +69,7 @@ CASES = [
     ["cones", "--set", "sparse:n=2,s=1", "--x", "0,1", "--v", "1,0", "--x", "1,0"],
     ["check", "--suite", "projected-translation", "--seed", "abc"],
     *READER_CASES,
+    ["solve"] + SPARSE + ["--x0", "0,1", "--out", "same.csv", "--emit-plot-data", "same.csv"],
 ]
 
 CONFIG_FILES = {
@@ -102,6 +103,8 @@ def test_cli_error_paths_match_golden_bytes(tmp_path):
     text = cli_errors_text(tmp_path)
     assert text == GOLDEN.read_text(encoding="utf-8")
     assert text.count(X0_ERROR) == 3
-    for block in text.split("$ ncpgd ")[-len(READER_CASES):]:
+    for argv, block in zip(CASES, text.split("$ ncpgd ")[1:]):
+        if argv not in READER_CASES:
+            continue
         assert block.partition("\n")[2].startswith("exit=1\n[stdout]\n[stderr]\nerror: ")
         assert block.count("\n") == 5, block
